@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .registers import Database, database_state
-from .simcore import Circuit, Statevector, cnot, fidelity, run_circuit, rx, ry, rz
+from .simcore import Circuit, Gate, Statevector, cnot, fidelity, run_circuit, rx, ry, rz
 
 logger = logging.getLogger(__name__)
 
@@ -25,9 +25,14 @@ _GATE_BUILDERS = {"RX": rx, "RY": ry, "RZ": rz}
 
 @dataclass
 class Genome:
-    """A gate list under evolution. genes: (kind, qubits, angle) triples."""
+    """A gate list under evolution.
 
-    genes: list[tuple]
+    genes: the circuit's gates in order, single-qubit rotations and CNOTs.
+    Gates are immutable, so children share their parents' gates and a
+    mutation replaces a gene with a new gate rather than editing it.
+    """
+
+    genes: list[Gate]
     fitness: float | None = None
 
 
@@ -81,16 +86,15 @@ class GaspResult:
 
 
 def genome_circuit(genome: Genome, num_qubits: int) -> Circuit:
-    gates = []
-    for kind, qubits, angle in genome.genes:
-        if kind == "CNOT":
-            gates.append(cnot(qubits[0], qubits[1]))
-        else:
-            gates.append(_GATE_BUILDERS[kind](qubits[0], angle))
-    return Circuit(num_qubits, tuple(gates))
+    return Circuit(num_qubits, tuple(genome.genes))
 
 
-def _random_gene(rng: np.random.Generator, num_qubits: int) -> tuple:
+def _rotated(gene: Gate, angle: float) -> Gate:
+    """The same rotation on the same qubit, at another angle."""
+    return _GATE_BUILDERS[gene.kind](gene.targets[0], angle)
+
+
+def _random_gene(rng: np.random.Generator, num_qubits: int) -> Gate:
     kinds = _ROTATIONS + (("CNOT",) if num_qubits >= 2 else ())
     kind = kinds[rng.integers(len(kinds))]
     if kind == "CNOT":
@@ -98,20 +102,21 @@ def _random_gene(rng: np.random.Generator, num_qubits: int) -> tuple:
         target = int(rng.integers(num_qubits - 1))
         if target >= control:
             target += 1
-        return ("CNOT", (control, target), None)
-    return (kind, (int(rng.integers(num_qubits)),), float(rng.uniform(0, 2 * math.pi)))
+        return cnot(control, target)
+    qubit = int(rng.integers(num_qubits))
+    return _GATE_BUILDERS[kind](qubit, float(rng.uniform(0, 2 * math.pi)))
 
 
 def _layered_genome(rng: np.random.Generator, num_qubits: int, max_genes: int) -> Genome:
     # rotation layer + CNOT chain, repeated: a generic preparation skeleton
     # whose angles the search then has to discover
-    genes: list[tuple] = []
+    genes: list[Gate] = []
     for _ in range(int(rng.integers(1, 4))):
         for q in range(num_qubits):
-            genes.append(("RY", (q,), float(rng.uniform(0, 2 * math.pi))))
-            genes.append(("RZ", (q,), float(rng.uniform(0, 2 * math.pi))))
+            genes.append(ry(q, float(rng.uniform(0, 2 * math.pi))))
+            genes.append(rz(q, float(rng.uniform(0, 2 * math.pi))))
         for q in range(num_qubits - 1):
-            genes.append(("CNOT", (q, q + 1), None))
+            genes.append(cnot(q, q + 1))
     return Genome(genes[:max_genes])
 
 
@@ -147,15 +152,13 @@ def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int, config: G
     # angle polish is gentle, so it may run per gene; the destructive moves
     # (angle resample, whole-gene swap) fire at most once per genome each,
     # otherwise tuned parents rarely produce viable children
-    for i in range(len(genes)):
-        kind, qubits, angle = genes[i]
-        if kind in _ROTATIONS and rng.random() < config.mutation_rate:
-            genes[i] = (kind, qubits, angle + float(rng.normal(0.0, 0.1)))
+    for i, gene in enumerate(genes):
+        if gene.kind in _ROTATIONS and rng.random() < config.mutation_rate:
+            genes[i] = _rotated(gene, gene.angle + float(rng.normal(0.0, 0.1)))
     if genes and rng.random() < config.mutation_rate:
         i = int(rng.integers(len(genes)))
-        kind, qubits, _ = genes[i]
-        if kind in _ROTATIONS:
-            genes[i] = (kind, qubits, float(rng.uniform(0, 2 * math.pi)))
+        if genes[i].kind in _ROTATIONS:
+            genes[i] = _rotated(genes[i], float(rng.uniform(0, 2 * math.pi)))
     if genes and rng.random() < config.mutation_rate:
         genes[int(rng.integers(len(genes)))] = _random_gene(rng, num_qubits)
     if len(genes) < config.max_genes and rng.random() < config.mutation_rate:
@@ -164,12 +167,12 @@ def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int, config: G
         # mutations can pull apart
         position = int(rng.integers(len(genes) + 1))
         gene = _random_gene(rng, num_qubits)
-        if gene[0] == "CNOT":
+        if gene.kind == "CNOT":
             if len(genes) + 2 <= config.max_genes:
                 genes.insert(position, gene)
                 genes.insert(position, gene)
         else:
-            genes.insert(position, (gene[0], gene[1], float(rng.normal(0.0, 0.1))))
+            genes.insert(position, _rotated(gene, float(rng.normal(0.0, 0.1))))
     if genes and rng.random() < config.mutation_rate:
         del genes[int(rng.integers(len(genes)))]
 

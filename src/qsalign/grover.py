@@ -100,10 +100,7 @@ def search_circuit(prep: Circuit, spec: OracleSpec, layers: int) -> Circuit:
     if layers < 0:
         raise ValueError("layer count must be >= 0")
     layer = grover_layer(prep, spec)
-    out = prep
-    for _ in range(layers):
-        out = concat(out, layer)
-    return out
+    return Circuit(prep.num_qubits, prep.gates + layer.gates * layers)
 
 
 def marked_probability(state: Statevector, layout: RegisterLayout, delta: int) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import cos, sin
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -28,6 +28,7 @@ _X_LIKE = frozenset({"X", "CNOT", "MCX"})
 _Z_LIKE = frozenset({"Z", "MCZ"})
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
+_WHOLE_AXIS = slice(None)
 
 
 def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
@@ -53,32 +54,68 @@ class Gate:
     kinds accept controls (rotations included, which the state-preparation
     circuits rely on). ``angle`` is required for RX/RY/RZ and forbidden
     otherwise.
+
+    Construction also fixes what applying the gate needs, none of it
+    compared: the read-only 2x2 ``matrix`` on the target, the highest
+    qubit touched (``max_qubit``), and the index of the target's 0-half
+    and 1-half in a (2,)*q tensor view of the amplitudes.
     """
 
     kind: str
     targets: tuple[int, ...]
     controls: tuple[tuple[int, int], ...] = ()
     angle: float | None = None
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    max_qubit: int = field(init=False, repr=False, compare=False)
+    _halves: tuple[tuple, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        object.__setattr__(self, "controls", _normalize_controls(self.controls))
-        if len(self.targets) != 1:
-            raise ValueError(f"{self.kind} takes exactly one target, got {self.targets}")
-        if self.kind == "CNOT" and len(self.controls) != 1:
+        kind = self.kind
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        targets = tuple(map(int, self.targets))
+        controls = _normalize_controls(self.controls)
+        if len(targets) != 1:
+            raise ValueError(f"{kind} takes exactly one target, got {targets}")
+        if kind == "CNOT" and len(controls) != 1:
             raise ValueError("CNOT takes exactly one control")
-        if self.kind in ROTATION_KINDS:
-            if self.angle is None:
-                raise ValueError(f"{self.kind} requires an angle")
-            object.__setattr__(self, "angle", float(self.angle))
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind} does not take an angle")
-        control_qubits = [q for q, _ in self.controls]
-        touched = list(self.targets) + control_qubits
+        angle = self.angle
+        if kind in ROTATION_KINDS:
+            if angle is None:
+                raise ValueError(f"{kind} requires an angle")
+            angle = float(angle)
+        elif angle is not None:
+            raise ValueError(f"{kind} does not take an angle")
+        touched = targets + tuple(q for q, _ in controls)
         if len(set(touched)) != len(touched):
-            raise ValueError(f"controls and targets must be disjoint: {touched}")
+            raise ValueError(f"controls and targets must be disjoint: {list(touched)}")
+        if min(touched) < 0:
+            raise ValueError(f"qubit indices must be >= 0, got {list(touched)}")
+        top = max(touched)
+        # qubit k is axis -(k + 1): an index over the trailing axes fits
+        # every register wider than the gate's highest qubit
+        index = [_WHOLE_AXIS] * (top + 1)
+        for q, pol in controls:
+            index[top - q] = pol
+        axis = top - targets[0]
+        index[axis] = 0
+        half0 = (Ellipsis, *index)
+        index[axis] = 1
+        # one write for every field: the class is frozen, and this runs for
+        # each gate a synthesis mutation or a circuit inversion creates
+        vars(self).update(
+            targets=targets,
+            controls=controls,
+            angle=angle,
+            matrix=_gate_matrix(kind, angle),
+            max_qubit=top,
+            _halves=(half0, (Ellipsis, *index)),
+        )
+
+    def __reduce__(self):
+        # rebuild through the constructor, so copies and unpickled gates get
+        # the same read-only matrix and kernel index as the original
+        return Gate, (self.kind, self.targets, self.controls, self.angle)
 
     def qubits(self) -> tuple[int, ...]:
         return self.targets + tuple(q for q, _ in self.controls)
@@ -90,7 +127,7 @@ class Gate:
 
 
 def x(target: int, controls=()) -> Gate:
-    return Gate("X", (target,), _normalize_controls(controls))
+    return Gate("X", (target,), controls)
 
 
 def h(target: int) -> Gate:
@@ -102,15 +139,15 @@ def z(target: int) -> Gate:
 
 
 def rx(target: int, angle: float, controls=()) -> Gate:
-    return Gate("RX", (target,), _normalize_controls(controls), angle)
+    return Gate("RX", (target,), controls, angle)
 
 
 def ry(target: int, angle: float, controls=()) -> Gate:
-    return Gate("RY", (target,), _normalize_controls(controls), angle)
+    return Gate("RY", (target,), controls, angle)
 
 
 def rz(target: int, angle: float, controls=()) -> Gate:
-    return Gate("RZ", (target,), _normalize_controls(controls), angle)
+    return Gate("RZ", (target,), controls, angle)
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -118,11 +155,11 @@ def cnot(control: int, target: int) -> Gate:
 
 
 def mcx(controls, target: int) -> Gate:
-    return Gate("MCX", (target,), _normalize_controls(controls))
+    return Gate("MCX", (target,), controls)
 
 
 def mcz(controls, target: int) -> Gate:
-    return Gate("MCZ", (target,), _normalize_controls(controls))
+    return Gate("MCZ", (target,), controls)
 
 
 @dataclass(frozen=True)
@@ -137,9 +174,8 @@ class Circuit:
             raise ValueError("num_qubits must be >= 1")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            bad = [q for q in g.qubits() if not 0 <= q < self.num_qubits]
-            if bad:
-                raise ValueError(f"gate {g.kind} touches qubits {bad} outside [0, {self.num_qubits})")
+            if g.max_qubit >= self.num_qubits:
+                _raise_out_of_range(g, self.num_qubits)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -147,16 +183,10 @@ class Circuit:
     def extended(self, gates: Iterable[Gate]) -> "Circuit":
         return Circuit(self.num_qubits, self.gates + tuple(gates))
 
-    def depth(self) -> int:
-        """Greedy-layered depth: gates sharing no qubit pack into one layer."""
-        busy_until = [0] * self.num_qubits
-        depth = 0
-        for g in self.gates:
-            layer = 1 + max(busy_until[q] for q in g.qubits())
-            for q in g.qubits():
-                busy_until[q] = layer
-            depth = max(depth, layer)
-        return depth
+
+def _raise_out_of_range(gate: Gate, num_qubits: int):
+    bad = [q for q in gate.qubits() if q >= num_qubits]
+    raise ValueError(f"gate {gate.kind} touches qubits {bad} outside [0, {num_qubits})")
 
 
 def concat(*circuits: Circuit) -> Circuit:
@@ -222,79 +252,63 @@ def bits_to_index(bits: str) -> int:
     return int(bits, 2)
 
 
-_INDEX_CACHE: dict[int, np.ndarray] = {}
+def _frozen(rows) -> np.ndarray:
+    matrix = np.array(rows, dtype=np.complex128)
+    matrix.flags.writeable = False
+    return matrix
 
 
-def _indices(num_qubits: int) -> np.ndarray:
-    arr = _INDEX_CACHE.get(num_qubits)
-    if arr is None:
-        arr = np.arange(1 << num_qubits, dtype=np.int64)
-        _INDEX_CACHE[num_qubits] = arr
-    return arr
+_FIXED_MATRICES = {
+    "H": _frozen([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]]),
+    **dict.fromkeys(_X_LIKE, _frozen([[0, 1], [1, 0]])),
+    **dict.fromkeys(_Z_LIKE, _frozen([[1, 0], [0, -1]])),
+}
 
 
-def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
+def _gate_matrix(kind: str, angle: float | None) -> np.ndarray:
+    fixed = _FIXED_MATRICES.get(kind)
+    if fixed is not None:
+        return fixed
     c, s = cos(angle / 2.0), sin(angle / 2.0)
     if kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+        return _frozen([[c, -1j * s], [-1j * s, c]])
     if kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+        return _frozen([[c, -s], [s, c]])
     # RZ
-    return np.array([[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=np.complex128)
+    return _frozen([[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]])
 
 
-def _control_mask(num_qubits: int, controls: Sequence[tuple[int, int]]) -> np.ndarray | None:
-    """Boolean mask over all basis indices where every control matches, or None."""
-    if not controls:
-        return None
-    idx = _indices(num_qubits)
-    mask = np.ones(idx.shape, dtype=bool)
-    for q, pol in controls:
-        mask &= ((idx >> q) & 1) == pol
-    return mask
+def _apply_gate_inplace(tensor: np.ndarray, gate: Gate) -> None:
+    """Apply one gate to amplitudes viewed as a (2,)*q tensor, in place.
 
-
-def _apply_gate_inplace(amps: np.ndarray, num_qubits: int, gate: Gate) -> None:
-    target = gate.targets[0]
-    idx = _indices(num_qubits)
-    cmask = _control_mask(num_qubits, gate.controls)
-
+    The gate's precomputed halves fix every control at its polarity and
+    the target at 0 or 1, so each half is a strided view of the basis
+    states the gate pairs up; the stride-based single-qubit update of
+    standard statevector simulators (Jones et al., 2019, QuEST).
+    """
+    half0, half1 = gate._halves
     if gate.kind in _Z_LIKE:
-        mask = ((idx >> target) & 1) == 1
-        if cmask is not None:
-            mask &= cmask
-        amps[mask] *= -1.0
+        tensor[half1] *= -1.0
         return
-
-    mask0 = ((idx >> target) & 1) == 0
-    if cmask is not None:
-        mask0 &= cmask
-    i0 = np.nonzero(mask0)[0]
-    i1 = i0 | (1 << target)
-
+    a = tensor[half0].copy()
     if gate.kind in _X_LIKE:
-        tmp = amps[i0].copy()
-        amps[i0] = amps[i1]
-        amps[i1] = tmp
+        tensor[half0] = tensor[half1]
+        tensor[half1] = a
         return
-
-    if gate.kind == "H":
-        u = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=np.complex128)
-    else:
-        u = _rotation_matrix(gate.kind, gate.angle)
-    a = amps[i0].copy()
-    b = amps[i1]
-    amps[i0] = u[0, 0] * a + u[0, 1] * b
-    amps[i1] = u[1, 0] * a + u[1, 1] * b
+    b = tensor[half1]
+    u = gate.matrix
+    # 0-d views of the entries: numpy multiplies by these without the
+    # per-call conversion that a Python or numpy scalar costs
+    tensor[half0] = u[0, 0, ...] * a + u[0, 1, ...] * b
+    tensor[half1] = u[1, 0, ...] * a + u[1, 1, ...] * b
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Apply one gate, returning a new statevector."""
-    bad = [q for q in gate.qubits() if not 0 <= q < state.num_qubits]
-    if bad:
-        raise ValueError(f"gate {gate.kind} touches qubits {bad} outside [0, {state.num_qubits})")
-    out = state.amplitudes.copy()
-    _apply_gate_inplace(out, state.num_qubits, gate)
+    if gate.max_qubit >= state.num_qubits:
+        _raise_out_of_range(gate, state.num_qubits)
+    out = state.amplitudes.copy()  # C-contiguous, so the reshape is a view
+    _apply_gate_inplace(out.reshape((2,) * state.num_qubits), gate)
     return Statevector(state.num_qubits, out)
 
 
@@ -304,9 +318,10 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
         raise ValueError(
             f"circuit acts on {circuit.num_qubits} qubits but state has {state.num_qubits}"
         )
-    out = state.amplitudes.copy()
+    out = state.amplitudes.copy()  # C-contiguous, so the reshape is a view
+    tensor = out.reshape((2,) * state.num_qubits)
     for gate in circuit.gates:
-        _apply_gate_inplace(out, state.num_qubits, gate)
+        _apply_gate_inplace(tensor, gate)
     return Statevector(state.num_qubits, out)
 
 

@@ -14,8 +14,9 @@ from qsalign.gasp import (
     perturb_state,
     random_hermitian,
 )
+from qsalign.experiments import random_database
 from qsalign.registers import Database, database_state
-from qsalign.simcore import Statevector, fidelity, run_circuit, zero_state
+from qsalign.simcore import Statevector, cnot, fidelity, run_circuit, ry, rz, zero_state
 
 
 def test_config_validation():
@@ -35,15 +36,24 @@ def test_config_validation():
 
 
 def test_genome_circuit_mapping():
-    genes = [
-        ("RY", (0,), 0.5),
-        ("CNOT", (0, 1), None),
-        ("RZ", (1,), 1.25),
-    ]
+    genes = [ry(0, 0.5), cnot(0, 1), rz(1, 1.25)]
     circuit = genome_circuit(Genome(genes), 2)
-    assert [g.kind for g in circuit.gates] == ["RY", "CNOT", "RZ"]
-    assert circuit.gates[1].controls == ((0, 1),)
-    assert circuit.gates[2].angle == 1.25
+    assert circuit.num_qubits == 2
+    assert circuit.gates == tuple(genes)
+    assert all(built is gene for built, gene in zip(circuit.gates, genes))
+    with pytest.raises(ValueError):
+        genome_circuit(Genome(genes), 1)
+
+
+def test_gasp_trajectory_pinned():
+    # fidelities of the seeded runs, exact to the last bit: a change to the
+    # kernel's arithmetic or to the order of the GA's random draws shows here
+    bell = Statevector(2, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
+    result = gasp_prepare(bell, GaConfig(rng_seed=0))
+    assert (result.fidelity, result.generations) == (float.fromhex("0x1.fffe9f0413583p-1"), 5)
+    floor_n3 = database_state(random_database(3, "floor", 0))
+    result = gasp_prepare(floor_n3, GaConfig(rng_seed=0))
+    assert (result.fidelity, result.generations) == (float.fromhex("0x1.fd534b173a48dp-1"), 18)
 
 
 def test_gasp_trivial_target_converges_immediately():

@@ -31,6 +31,7 @@ from qsalign.simcore import (
     Statevector,
     apply_circuit,
     basis_state,
+    concat,
     run_circuit,
 )
 
@@ -93,6 +94,18 @@ def test_search_circuit_zero_layers_is_preparation():
     prep = initialisation_unitary(exact_loader(db), TargetSequence("111"), layout)
     circuit = search_circuit(prep, OracleSpec(1, layout), 0)
     assert np.allclose(run_circuit(circuit).amplitudes, run_circuit(prep).amplitudes)
+
+
+def test_search_circuit_matches_layer_by_layer_concatenation():
+    db = Database(3, ("101", "010", "000"))
+    layout = RegisterLayout(3)
+    prep = initialisation_unitary(exact_loader(db), TargetSequence("110"), layout)
+    spec = OracleSpec(2, layout)
+    layer = grover_layer(prep, spec)
+    expected = prep
+    for p in range(4):
+        assert search_circuit(prep, spec, p) == expected
+        expected = concat(expected, layer)
 
 
 def test_success_probability_known_values():

@@ -1,0 +1,147 @@
+"""Property tests: the tensor-view gate kernel against the mask-based original.
+
+The reference below is the earlier kernel, which built full-length boolean
+masks over every basis index and gathered both halves by fancy indexing.
+The view kernel must repeat its arithmetic exactly, so results are compared
+with ``np.array_equal`` and no tolerance.
+"""
+from math import cos, pi, sin
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsalign.simcore import (
+    GATE_KINDS,
+    ROTATION_KINDS,
+    Circuit,
+    Gate,
+    Statevector,
+    apply_circuit,
+    apply_gate,
+)
+
+_SQRT2_INV = 1.0 / np.sqrt(2.0)
+
+
+def _reference_rotation(kind, angle):
+    c, s = cos(angle / 2.0), sin(angle / 2.0)
+    if kind == "RX":
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    if kind == "RY":
+        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return np.array([[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=np.complex128)
+
+
+def _reference_apply(amps, num_qubits, gate):
+    """The mask kernel, in place on a contiguous amplitude array."""
+    target = gate.targets[0]
+    idx = np.arange(1 << num_qubits, dtype=np.int64)
+    cmask = None
+    if gate.controls:
+        cmask = np.ones(idx.shape, dtype=bool)
+        for q, pol in gate.controls:
+            cmask &= ((idx >> q) & 1) == pol
+
+    if gate.kind in ("Z", "MCZ"):
+        mask = ((idx >> target) & 1) == 1
+        if cmask is not None:
+            mask &= cmask
+        amps[mask] *= -1.0
+        return
+
+    mask0 = ((idx >> target) & 1) == 0
+    if cmask is not None:
+        mask0 &= cmask
+    i0 = np.nonzero(mask0)[0]
+    i1 = i0 | (1 << target)
+
+    if gate.kind in ("X", "CNOT", "MCX"):
+        tmp = amps[i0].copy()
+        amps[i0] = amps[i1]
+        amps[i1] = tmp
+        return
+
+    if gate.kind == "H":
+        u = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=np.complex128)
+    else:
+        u = _reference_rotation(gate.kind, gate.angle)
+    a = amps[i0].copy()
+    b = amps[i1]
+    amps[i0] = u[0, 0] * a + u[0, 1] * b
+    amps[i1] = u[1, 0] * a + u[1, 1] * b
+
+
+def _reference_circuit(amplitudes, circuit):
+    out = np.array(amplitudes, dtype=np.complex128)
+    for gate in circuit.gates:
+        _reference_apply(out, circuit.num_qubits, gate)
+    return out
+
+
+@st.composite
+def gates(draw, num_qubits):
+    kinds = sorted(GATE_KINDS if num_qubits >= 2 else GATE_KINDS - {"CNOT"})
+    kind = draw(st.sampled_from(kinds))
+    order = draw(st.permutations(range(num_qubits)))
+    if kind == "CNOT":
+        controls = ((order[1], 1),)
+    else:
+        count = draw(st.integers(0, num_qubits - 1))
+        controls = tuple((q, draw(st.integers(0, 1))) for q in order[1 : 1 + count])
+    angle = None
+    if kind in ROTATION_KINDS:
+        angle = draw(st.floats(-4 * pi, 4 * pi, allow_nan=False, allow_infinity=False))
+    return Gate(kind, (order[0],), controls, angle)
+
+
+@st.composite
+def circuits(draw, max_qubits=10):
+    num_qubits = draw(st.integers(1, max_qubits))
+    gate_list = draw(st.lists(gates(num_qubits), min_size=1, max_size=12))
+    return Circuit(num_qubits, tuple(gate_list))
+
+
+def _random_amplitudes(num_qubits, seed, size=None):
+    rng = np.random.default_rng(seed)
+    size = size or (1 << num_qubits)
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return amps / np.linalg.norm(amps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(), st.integers(0, 2**32 - 1))
+def test_circuit_matches_mask_kernel_exactly(circuit, seed):
+    amps = _random_amplitudes(circuit.num_qubits, seed)
+    out = apply_circuit(Statevector(circuit.num_qubits, amps), circuit)
+    assert np.array_equal(out.amplitudes, _reference_circuit(amps, circuit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(), st.integers(0, 2**32 - 1))
+def test_single_gates_match_mask_kernel_exactly(circuit, seed):
+    state = Statevector(circuit.num_qubits, _random_amplitudes(circuit.num_qubits, seed))
+    for gate in circuit.gates:
+        expected = _reference_circuit(state.amplitudes, Circuit(circuit.num_qubits, (gate,)))
+        state = apply_gate(state, gate)
+        assert np.array_equal(state.amplitudes, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(max_qubits=8), st.integers(0, 2**32 - 1), st.integers(2, 3))
+def test_inputs_never_mutated_even_when_strided(circuit, seed, step):
+    n = circuit.num_qubits
+    backing = _random_amplitudes(n, seed, size=step << n)
+    pristine = backing.copy()
+    strided = backing[::step]
+    assert not strided.flags.c_contiguous
+    state = Statevector(n, strided)
+    expected = _reference_circuit(strided.copy(), circuit)
+
+    out = apply_circuit(state, circuit)
+    assert np.array_equal(out.amplitudes, expected)
+    single = apply_gate(state, circuit.gates[0])
+    first = Circuit(n, circuit.gates[:1])
+    assert np.array_equal(single.amplitudes, _reference_circuit(strided.copy(), first))
+    assert np.array_equal(backing, pristine)
+    assert state.amplitudes is strided

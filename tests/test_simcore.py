@@ -1,5 +1,6 @@
 """Gate semantics, circuit algebra, sampling, and serialization."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -44,6 +45,26 @@ def test_gate_validation():
         Gate("CNOT", (1,))  # needs exactly one control
     with pytest.raises(ValueError):
         Gate("X", (0,), controls=((0, 1),))  # control overlaps target
+
+
+def test_gate_matrix_fixed_at_construction():
+    theta = 0.7368
+    gate = ry(1, theta, controls=((0, 0),))
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    assert np.array_equal(gate.matrix, [[c, -s], [s, c]])
+    assert gate.max_qubit == 1
+    with pytest.raises(ValueError):
+        gate.matrix[0, 0] = 1.0  # read-only
+    # the matrix is derived data: equality, hashing and copies ignore it
+    again = pickle.loads(pickle.dumps(gate))
+    assert again == gate and hash(again) == hash(gate)
+    assert np.array_equal(again.matrix, gate.matrix) and not again.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        Gate("X", (-1,))
+    with pytest.raises(ValueError, match=r"touches qubits \[3\] outside \[0, 2\)"):
+        Circuit(2, (x(3, controls=(1,)),))
+    with pytest.raises(ValueError, match=r"touches qubits \[2\] outside \[0, 2\)"):
+        apply_gate(zero_state(2), x(0, controls=(2,)))
 
 
 def test_qubit_zero_is_least_significant():
