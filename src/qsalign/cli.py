@@ -18,11 +18,9 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checks import run_checks
 from .experiments import DEFAULT_FIDELITIES, SweepConfig, fidelity_sweep, layer_study, write_sweep_files
-from .gasp import GaConfig, gasp_prepare, perturb_state
+from .gasp import GaConfig, fidelity_calibrated_loader, gasp_prepare, perturb_state, perturbation_seed
 from .qsa import QsaConfig, result_record, run_qsa
 from .registers import (
     Alphabet,
@@ -38,9 +36,6 @@ from .simcore import serialize_circuit
 logger = logging.getLogger(__name__)
 
 _POLICIES = {"paper": "paper_ceil", "best": "best_integer"}
-# sub-stream tag separating loader randomness from sampling randomness,
-# shared with gasp.fidelity_calibrated_loader
-_PERTURB_TAG = 0x5EED
 
 
 class _UsageError(Exception):
@@ -105,10 +100,9 @@ def _loader_for(db: Database, fidelity: float | None, seed: int, full: bool):
         raise ValueError(f"fidelity must be in (0, 1], got {fidelity}")
     if fidelity is None or fidelity == 1.0:
         return exact_loader(db)
-    perturb_seed = int(np.random.SeedSequence([seed, _PERTURB_TAG]).generate_state(1)[0])
-    perturbed, _ = perturb_state(database_state(db), fidelity, perturb_seed)
     if full:
-        return gasp_prepare(perturbed, GaConfig(rng_seed=seed)).circuit
+        return fidelity_calibrated_loader(db, fidelity, GaConfig(rng_seed=seed))
+    perturbed, _ = perturb_state(database_state(db), fidelity, perturbation_seed(seed))
     return state_preparation_circuit(perturbed)
 
 

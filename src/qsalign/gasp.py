@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .registers import Database, database_state
-from .simcore import Circuit, Gate, Statevector, cnot, fidelity, run_circuit, rx, ry, rz
+from .simcore import Circuit, Gate, Statevector, cnot, fidelity, run_circuit, run_sequences, rx, ry, rz
 
 logger = logging.getLogger(__name__)
 
@@ -89,11 +89,6 @@ def genome_circuit(genome: Genome, num_qubits: int) -> Circuit:
     return Circuit(num_qubits, tuple(genome.genes))
 
 
-def _rotated(gene: Gate, angle: float) -> Gate:
-    """The same rotation on the same qubit, at another angle."""
-    return _GATE_BUILDERS[gene.kind](gene.targets[0], angle)
-
-
 def _random_gene(rng: np.random.Generator, num_qubits: int) -> Gate:
     kinds = _ROTATIONS + (("CNOT",) if num_qubits >= 2 else ())
     kind = kinds[rng.integers(len(kinds))]
@@ -127,10 +122,15 @@ def _random_genome(rng: np.random.Generator, num_qubits: int, max_genes: int) ->
     return Genome([_random_gene(rng, num_qubits) for _ in range(length)])
 
 
-def _evaluate(genome: Genome, target: Statevector) -> float:
-    out = run_circuit(genome_circuit(genome, target.num_qubits))
-    genome.fitness = fidelity(out, target)
-    return genome.fitness
+def _score(genomes: list[Genome], target: Statevector) -> None:
+    """Set each genome's fitness, its output's fidelity to the target.
+
+    One batched simulation covers every genome; each row then goes through
+    ``fidelity`` exactly as ``run_circuit``'s output would.
+    """
+    n = target.num_qubits
+    for genome, amplitudes in zip(genomes, run_sequences(n, [g.genes for g in genomes])):
+        genome.fitness = fidelity(Statevector(n, amplitudes), target)
 
 
 def _tournament(rng: np.random.Generator, population: list[Genome], k: int = 5) -> Genome:
@@ -154,11 +154,11 @@ def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int, config: G
     # otherwise tuned parents rarely produce viable children
     for i, gene in enumerate(genes):
         if gene.kind in _ROTATIONS and rng.random() < config.mutation_rate:
-            genes[i] = _rotated(gene, gene.angle + float(rng.normal(0.0, 0.1)))
+            genes[i] = gene.with_angle(gene.angle + float(rng.normal(0.0, 0.1)))
     if genes and rng.random() < config.mutation_rate:
         i = int(rng.integers(len(genes)))
         if genes[i].kind in _ROTATIONS:
-            genes[i] = _rotated(genes[i], float(rng.uniform(0, 2 * math.pi)))
+            genes[i] = genes[i].with_angle(float(rng.uniform(0, 2 * math.pi)))
     if genes and rng.random() < config.mutation_rate:
         genes[int(rng.integers(len(genes)))] = _random_gene(rng, num_qubits)
     if len(genes) < config.max_genes and rng.random() < config.mutation_rate:
@@ -172,7 +172,7 @@ def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int, config: G
                 genes.insert(position, gene)
                 genes.insert(position, gene)
         else:
-            genes.insert(position, _rotated(gene, float(rng.normal(0.0, 0.1))))
+            genes.insert(position, gene.with_angle(float(rng.normal(0.0, 0.1))))
     if genes and rng.random() < config.mutation_rate:
         del genes[int(rng.integers(len(genes)))]
 
@@ -203,8 +203,7 @@ def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResu
     population = [Genome([])]
     while len(population) < config.population_size:
         population.append(_random_genome(rng, n, config.max_genes))
-    for genome in population:
-        _evaluate(genome, target)
+    _score(population, target)
 
     best = max(population, key=lambda g: g.fitness)
     anchor = best.fitness
@@ -225,8 +224,7 @@ def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResu
         generations = generation
         if stagnant >= _STAGNATION_LIMIT:
             population = [_random_genome(rng, n, config.max_genes) for _ in range(config.population_size)]
-            for genome in population:
-                _evaluate(genome, target)
+            _score(population, target)
             # re-anchor below any fitness so the fresh climb is not judged
             # against the archived best it has yet to catch up with
             anchor = -1.0
@@ -244,8 +242,10 @@ def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResu
             for child in (c1, c2):
                 if len(survivors) + len(children) < config.population_size:
                     _mutate(rng, child, n, config)
-                    _evaluate(child, target)
                     children.append(child)
+        # scoring draws no random numbers, so a generation's children are
+        # all bred first and then simulated together
+        _score(children, target)
         population = survivors + children
 
     final = max(population, key=lambda g: g.fitness)
@@ -259,7 +259,14 @@ def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResu
             generations,
             config.fidelity_target,
         )
-    return GaspResult(genome_circuit(best, n), best.fitness, converged, generations)
+    circuit = genome_circuit(best, n)
+    # the batched fitness must equal the single-state simulation bit for bit
+    reference = fidelity(run_circuit(circuit), target)
+    if reference != best.fitness:
+        raise RuntimeError(
+            f"batched fitness {best.fitness!r} differs from run_circuit's {reference!r}"
+        )
+    return GaspResult(circuit, best.fitness, converged, generations)
 
 
 def random_hermitian(dim: int, seed=None) -> np.ndarray:
@@ -336,6 +343,18 @@ def perturb_state(
     )
 
 
+# sub-stream tag separating a loader's perturbation from the other draws
+# made under the same seed
+_PERTURB_TAG = 0x5EED
+
+
+def perturbation_seed(rng_seed: int | None) -> int | None:
+    """Seed of the perturbation behind a loader built under ``rng_seed``."""
+    if rng_seed is None:
+        return None
+    return int(np.random.SeedSequence([rng_seed, _PERTURB_TAG]).generate_state(1)[0])
+
+
 def fidelity_calibrated_loader(
     db: Database, target_fidelity: float, config: GaConfig = GaConfig()
 ) -> Circuit:
@@ -345,11 +364,6 @@ def fidelity_calibrated_loader(
     circuit is evolved to >= config.fidelity_target fidelity against the
     perturbed state, so the composition lands close to the request.
     """
-    if config.rng_seed is None:
-        perturb_seed = None
-    else:
-        perturb_seed = int(
-            np.random.SeedSequence([config.rng_seed, 0x5EED]).generate_state(1)[0]
-        )
-    perturbed, _ = perturb_state(database_state(db), target_fidelity, perturb_seed)
+    seed = perturbation_seed(config.rng_seed)
+    perturbed, _ = perturb_state(database_state(db), target_fidelity, seed)
     return gasp_prepare(perturbed, config).circuit

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import cos, sin
-from typing import Iterable
 
 import numpy as np
 
@@ -120,6 +119,20 @@ class Gate:
     def qubits(self) -> tuple[int, ...]:
         return self.targets + tuple(q for q, _ in self.controls)
 
+    def with_angle(self, angle: float) -> "Gate":
+        """The same rotation on the same qubits and controls, at another angle.
+
+        Equal in every field to ``Gate(kind, targets, controls, angle)``,
+        but reuses this gate's validated fields and kernel index and builds
+        only the new matrix.
+        """
+        if self.kind not in ROTATION_KINDS:
+            raise ValueError(f"{self.kind} does not take an angle")
+        angle = float(angle)
+        gate = object.__new__(Gate)
+        vars(gate).update(vars(self), angle=angle, matrix=_gate_matrix(self.kind, angle))
+        return gate
+
     def inverse(self) -> "Gate":
         if self.kind in ROTATION_KINDS:
             return Gate(self.kind, self.targets, self.controls, -self.angle)
@@ -179,9 +192,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def extended(self, gates: Iterable[Gate]) -> "Circuit":
-        return Circuit(self.num_qubits, self.gates + tuple(gates))
 
 
 def _raise_out_of_range(gate: Gate, num_qubits: int):
@@ -328,6 +338,77 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
 def run_circuit(circuit: Circuit) -> Statevector:
     """Apply the circuit to |0...0>."""
     return apply_circuit(zero_state(circuit.num_qubits), circuit)
+
+
+def run_sequences(num_qubits: int, sequences) -> np.ndarray:
+    """Apply each of P gate sequences to |0...0>, all in one lockstep pass.
+
+    Returns a (P, 2^num_qubits) array whose row i equals, element for
+    element, ``run_circuit`` on sequence i. Step j applies every row's
+    j-th gate at once: each row gathers the 0-half ``a`` and 1-half ``b``
+    of its target's pairs and takes ``u00*a + u01*b`` and ``u10*a + u11*b``,
+    the single-state kernel's elementwise arithmetic, with the row's
+    matrix entries broadcast over its pairs. Pairs that fail the row's
+    controls, and rows whose sequence has ended, keep their amplitudes.
+    For many short sequences on a narrow register this replaces per-gate
+    numpy calls on a handful of amplitudes with a few calls per step.
+    """
+    if num_qubits < 1:
+        raise ValueError("num_qubits must be >= 1")
+    dim = 1 << num_qubits
+    count = len(sequences)
+    states = np.zeros((count, dim), dtype=np.complex128)
+    states[:, 0] = 1.0
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
+    depth = int(lengths.max(initial=0))
+    if depth == 0:
+        return states
+    flat = [gate for seq in sequences for gate in seq]
+
+    # control masks per distinct controls tuple, computed for this call only
+    code_of: dict[tuple, int] = {}
+    codes = [code_of.setdefault(gate.controls, len(code_of)) for gate in flat]
+    control_bits = np.zeros((len(code_of), 2), dtype=np.intp)
+    for controls, code in code_of.items():
+        for q, pol in controls:
+            control_bits[code] += (1 << q, pol << q)
+    mask, value = control_bits.T
+    target = np.array([gate.targets[0] for gate in flat], dtype=np.intp)
+    if target.max() >= num_qubits or mask.max() >= dim:
+        _raise_out_of_range(next(g for g in flat if g.max_qubit >= num_qubits), num_qubits)
+
+    # pairs[t, h]: the basis indices whose bit t is h, ascending
+    half = np.arange(dim >> 1)
+    zero = np.array([(half >> t << (t + 1)) | (half & ((1 << t) - 1)) for t in range(num_qubits)])
+    pairs = np.stack([zero, zero | (1 << np.arange(num_qubits))[:, None]], axis=1)
+    # meets[code, t]: which pairs of target t satisfy the controls numbered code
+    meets = (zero & mask[:, None, None]) == value[:, None, None]
+
+    # (P, depth) grids, row-major, so a boolean assignment walks the
+    # flattened sequences in order; the padding after a sequence ends
+    # meets no pair, so its row keeps its amplitudes
+    live = np.arange(depth) < lengths[:, None]
+    target_grid = np.zeros((count, depth), dtype=np.intp)
+    target_grid[live] = target
+    met = np.zeros((count, depth, dim >> 1), dtype=bool)
+    met[live] = meets[codes, target]
+    coef = np.zeros((count, depth, 2, 2), dtype=np.complex128)
+    coef[live] = np.concatenate([gate.matrix for gate in flat]).reshape(-1, 2, 2)
+
+    # step-major from here: index[j, p, h] holds row p's basis indices with
+    # its target bit equal to h at step j, columns[j, c] is column c of
+    # every row's matrix shaped (P, 2, 1), and met[j] is (P, 1, 2^(n-1))
+    index = pairs[target_grid.T]
+    index += (np.arange(count) * dim)[:, None, None]
+    columns = coef.transpose(1, 3, 0, 2)[..., None]
+    met = met.transpose(1, 0, 2)[:, :, None]
+
+    amps = states.reshape(-1)
+    for j in range(depth):
+        pair = amps[index[j]]
+        new = columns[j, 0] * pair[:, :1] + columns[j, 1] * pair[:, 1:]
+        amps[index[j]] = np.where(met[j], new, pair)
+    return states
 
 
 def sample_counts(state: Statevector, shots: int, rng_seed: int) -> dict[str, int]:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qsalign import gasp
 from qsalign.gasp import (
     GaConfig,
     Genome,
@@ -54,6 +55,22 @@ def test_gasp_trajectory_pinned():
     floor_n3 = database_state(random_database(3, "floor", 0))
     result = gasp_prepare(floor_n3, GaConfig(rng_seed=0))
     assert (result.fidelity, result.generations) == (float.fromhex("0x1.fd534b173a48dp-1"), 18)
+    floor_n4 = database_state(random_database(4, "floor", 0))
+    result = gasp_prepare(floor_n4, GaConfig(rng_seed=0))
+    assert (result.fidelity, result.generations) == (float.fromhex("0x1.fb1e8d71f7b03p-1"), 44)
+
+
+def test_gasp_checks_batched_fitness_against_run_circuit(monkeypatch):
+    bell = Statevector(2, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
+
+    def off_by_a_phase_flip(circuit):
+        out = run_circuit(circuit)
+        out.amplitudes[3] *= -1
+        return out
+
+    monkeypatch.setattr(gasp, "run_circuit", off_by_a_phase_flip)
+    with pytest.raises(RuntimeError):
+        gasp_prepare(bell, GaConfig(rng_seed=0))
 
 
 def test_gasp_trivial_target_converges_immediately():

@@ -1,13 +1,15 @@
-"""Property tests: the tensor-view gate kernel against the mask-based original.
+"""Property tests: the gate kernels against their references.
 
 The reference below is the earlier kernel, which built full-length boolean
 masks over every basis index and gathered both halves by fancy indexing.
-The view kernel must repeat its arithmetic exactly, so results are compared
-with ``np.array_equal`` and no tolerance.
+The view kernel must repeat its arithmetic exactly, and the batched runner
+must repeat the view kernel's, so results are compared with
+``np.array_equal`` and no tolerance.
 """
 from math import cos, pi, sin
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,8 @@ from qsalign.simcore import (
     Statevector,
     apply_circuit,
     apply_gate,
+    run_circuit,
+    run_sequences,
 )
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -102,6 +106,16 @@ def circuits(draw, max_qubits=10):
     return Circuit(num_qubits, tuple(gate_list))
 
 
+@st.composite
+def batches(draw):
+    num_qubits = draw(st.integers(1, 6))
+    sequence = st.lists(gates(num_qubits), max_size=20)
+    return num_qubits, draw(st.lists(sequence, min_size=1, max_size=8))
+
+
+_ANGLES = st.floats(-4 * pi, 4 * pi, allow_nan=False, allow_infinity=False) | st.integers(-12, 12)
+
+
 def _random_amplitudes(num_qubits, seed, size=None):
     rng = np.random.default_rng(seed)
     size = size or (1 << num_qubits)
@@ -145,3 +159,36 @@ def test_inputs_never_mutated_even_when_strided(circuit, seed, step):
     assert np.array_equal(single.amplitudes, _reference_circuit(strided.copy(), first))
     assert np.array_equal(backing, pristine)
     assert state.amplitudes is strided
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches())
+def test_batched_runner_matches_run_circuit_exactly(batch):
+    num_qubits, sequences = batch
+    states = run_sequences(num_qubits, sequences)
+    assert states.shape == (len(sequences), 1 << num_qubits)
+    for row, sequence in zip(states, sequences):
+        expected = run_circuit(Circuit(num_qubits, tuple(sequence))).amplitudes
+        assert np.array_equal(row, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(gates), _ANGLES)
+def test_with_angle_equals_a_freshly_built_rotation(gate, angle):
+    if gate.kind not in ROTATION_KINDS:
+        with pytest.raises(ValueError):
+            gate.with_angle(angle)
+        return
+    before = dict(vars(gate))
+    rebuilt = gate.with_angle(angle)
+    fresh = Gate(gate.kind, gate.targets, gate.controls, angle)
+    assert rebuilt == fresh
+    assert vars(rebuilt).keys() == vars(fresh).keys()
+    for name, value in vars(fresh).items():  # _halves and max_qubit included
+        if name == "matrix":
+            assert np.array_equal(rebuilt.matrix, value)
+            assert not rebuilt.matrix.flags.writeable
+        else:
+            assert getattr(rebuilt, name) == value
+    assert type(rebuilt.angle) is float
+    assert vars(gate) == before  # the original gate is untouched

@@ -23,6 +23,7 @@ from qsalign.simcore import (
     mcz,
     parse_circuit,
     run_circuit,
+    run_sequences,
     rx,
     ry,
     rz,
@@ -171,6 +172,18 @@ def test_concat_and_width_checks():
         apply_circuit(zero_state(3), a)
     with pytest.raises(ValueError):
         Circuit(2, (x(5),))
+
+
+def test_run_sequences_range_check_matches_circuit():
+    for gate in (x(2), cnot(3, 0), mcz(((0, 1), (4, 0)), 1)):
+        with pytest.raises(ValueError) as by_circuit:
+            Circuit(2, (h(0), gate))
+        with pytest.raises(ValueError) as by_batch:
+            run_sequences(2, [[h(0)], [h(1), gate]])
+        assert str(by_batch.value) == str(by_circuit.value)
+    empty = run_sequences(2, [[], []])
+    assert np.array_equal(empty, [[1, 0, 0, 0], [1, 0, 0, 0]])
+    assert run_sequences(3, []).shape == (0, 8)
 
 
 def test_basis_state_bounds():
