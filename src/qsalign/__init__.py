@@ -6,182 +6,7 @@ distance into an ancilla register, and amplitude amplification raises the
 branches at a probed distance before sampling. Loader circuits can be
 exact, synthesised from a fidelity-calibrated perturbed state, or evolved
 genetically, which makes accuracy-versus-fidelity studies possible.
-"""
-from .simcore import (
-    Circuit,
-    Gate,
-    Statevector,
-    apply_circuit,
-    apply_gate,
-    basis_state,
-    cnot,
-    concat,
-    fidelity,
-    h,
-    invert,
-    mcx,
-    mcz,
-    parse_circuit,
-    run_circuit,
-    rx,
-    ry,
-    rz,
-    sample_counts,
-    serialize_circuit,
-    x,
-    z,
-    zero_state,
-)
-from .registers import (
-    DNA,
-    Alphabet,
-    Database,
-    RegisterLayout,
-    TargetSequence,
-    database_state,
-    encode_sequence,
-    entangler,
-    exact_loader,
-    hamming,
-    initialisation_unitary,
-    popcount_operator,
-    state_preparation_circuit,
-    subsequence_windows,
-    target_loader,
-)
-from .grover import (
-    GroverPlan,
-    OracleSpec,
-    best_integer_layers,
-    diffusion,
-    grover_layer,
-    make_plan,
-    marked_probability,
-    optimal_layers,
-    phase_oracle,
-    search_circuit,
-    success_probability,
-    zero_reflection,
-)
-from .qsa import (
-    QsaConfig,
-    QsaResult,
-    accuracy,
-    classical_min_hamming,
-    count_matches,
-    result_record,
-    run_qsa,
-)
-from .gasp import (
-    GaConfig,
-    GaspResult,
-    Genome,
-    PerturbationSpec,
-    fidelity_calibrated_loader,
-    gasp_prepare,
-    genome_circuit,
-    perturb_state,
-    random_hermitian,
-)
-from .experiments import (
-    DEFAULT_FIDELITIES,
-    LayerPoint,
-    SweepConfig,
-    SweepRecord,
-    SweepResult,
-    SummaryRow,
-    database_size_for,
-    fidelity_sweep,
-    layer_study,
-    random_database,
-    random_target,
-    run_sweep_trial,
-    summarize,
-    write_sweep_files,
-)
-from .checks import CheckResult, run_checks
 
-__all__ = [
-    "Alphabet",
-    "CheckResult",
-    "Circuit",
-    "DEFAULT_FIDELITIES",
-    "DNA",
-    "Database",
-    "GaConfig",
-    "GaspResult",
-    "Gate",
-    "Genome",
-    "GroverPlan",
-    "LayerPoint",
-    "OracleSpec",
-    "PerturbationSpec",
-    "QsaConfig",
-    "QsaResult",
-    "RegisterLayout",
-    "Statevector",
-    "SummaryRow",
-    "SweepConfig",
-    "SweepRecord",
-    "SweepResult",
-    "TargetSequence",
-    "accuracy",
-    "apply_circuit",
-    "apply_gate",
-    "basis_state",
-    "best_integer_layers",
-    "classical_min_hamming",
-    "cnot",
-    "concat",
-    "count_matches",
-    "database_size_for",
-    "database_state",
-    "diffusion",
-    "encode_sequence",
-    "entangler",
-    "exact_loader",
-    "fidelity",
-    "fidelity_calibrated_loader",
-    "fidelity_sweep",
-    "gasp_prepare",
-    "genome_circuit",
-    "grover_layer",
-    "h",
-    "hamming",
-    "initialisation_unitary",
-    "invert",
-    "layer_study",
-    "make_plan",
-    "marked_probability",
-    "mcx",
-    "mcz",
-    "optimal_layers",
-    "parse_circuit",
-    "perturb_state",
-    "phase_oracle",
-    "popcount_operator",
-    "random_database",
-    "random_hermitian",
-    "random_target",
-    "result_record",
-    "run_circuit",
-    "run_checks",
-    "run_qsa",
-    "run_sweep_trial",
-    "rx",
-    "ry",
-    "rz",
-    "sample_counts",
-    "search_circuit",
-    "serialize_circuit",
-    "state_preparation_circuit",
-    "subsequence_windows",
-    "success_probability",
-    "summarize",
-    "target_loader",
-    "write_sweep_files",
-    "x",
-    "z",
-    "zero_reflection",
-    "zero_state",
-]
+The package re-exports nothing: import from its submodules (``simcore``,
+``registers``, ``grover``, ``qsa``, ``gasp``, ``experiments``, ``checks``).
+"""

@@ -19,23 +19,36 @@ import sys
 from pathlib import Path
 
 from .checks import run_checks
-from .experiments import DEFAULT_FIDELITIES, SweepConfig, fidelity_sweep, layer_study, write_sweep_files
-from .gasp import GaConfig, fidelity_calibrated_loader, gasp_prepare, perturb_state, perturbation_seed
+from .experiments import (
+    DEFAULT_FIDELITIES,
+    SweepConfig,
+    calibrated_loader,
+    check_size,
+    fidelity_sweep,
+    layer_study,
+    sub_seed,
+    write_sweep_files,
+)
+from .gasp import MAX_QUBITS, GaConfig, gasp_prepare
 from .qsa import QsaConfig, result_record, run_qsa
 from .registers import (
     Alphabet,
     Database,
+    RegisterLayout,
     TargetSequence,
     database_state,
     encode_sequence,
     exact_loader,
-    state_preparation_circuit,
 )
 from .simcore import serialize_circuit
 
 logger = logging.getLogger(__name__)
 
 _POLICIES = {"paper": "paper_ceil", "best": "best_integer"}
+
+# sub-stream tag separating a loader's perturbation from the other draws
+# made under the same --seed
+_PERTURB_TAG = 0x5EED
 
 
 class _UsageError(Exception):
@@ -67,7 +80,16 @@ def _load_database(path: str, alphabet: Alphabet | None) -> Database:
         raise ValueError(f"database file {path} has no entries")
     if alphabet is not None:
         entries = [encode_sequence(e, alphabet) for e in entries]
-    return Database.from_bitstrings(entries)
+    db = Database.from_bitstrings(entries)
+    if db.n > MAX_QUBITS:
+        # computed from the width alone: nothing of this size is ever allocated
+        qubits = RegisterLayout(db.n).total
+        raise ValueError(
+            f"database entries are {db.n} bits wide, over the limit of {MAX_QUBITS}: "
+            f"their search register would need {qubits} qubits "
+            f"({(16 << qubits) >> 20} MiB per statevector)"
+        )
+    return db
 
 
 def _load_target(text: str, alphabet: Alphabet | None, n: int) -> TargetSequence:
@@ -96,14 +118,10 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
 
 def _loader_for(db: Database, fidelity: float | None, seed: int, full: bool):
     """Database loader at the requested preparation fidelity (None = exact)."""
-    if fidelity is not None and not 0.0 < fidelity <= 1.0:
-        raise ValueError(f"fidelity must be in (0, 1], got {fidelity}")
     if fidelity is None or fidelity == 1.0:
         return exact_loader(db)
-    if full:
-        return fidelity_calibrated_loader(db, fidelity, GaConfig(rng_seed=seed))
-    perturbed, _ = perturb_state(database_state(db), fidelity, perturbation_seed(seed))
-    return state_preparation_circuit(perturbed)
+    ga_config = GaConfig(rng_seed=seed) if full else None
+    return calibrated_loader(db, fidelity, sub_seed(seed, _PERTURB_TAG), ga_config)
 
 
 def _cmd_run(args) -> int:
@@ -126,7 +144,6 @@ def _cmd_run(args) -> int:
     loader = _loader_for(db, args.fidelity, args.seed, args.full)
     result = run_qsa(loader, db, target, config)
     record = result_record(result, db, target, config)
-    record["degraded"] = result.degraded
     line = json.dumps(record)
     print(line)
     print(
@@ -192,8 +209,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_layers(args) -> int:
     try:
-        if not 3 <= args.n <= 8:
-            raise ValueError(f"--n must be in [3, 8], got {args.n}")
+        check_size(args.n)
         if args.p_max < 0:
             raise ValueError(f"--p-max must be >= 0, got {args.p_max}")
     except ValueError as exc:

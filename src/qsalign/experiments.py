@@ -12,13 +12,13 @@ import concurrent.futures
 import csv
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .gasp import GaConfig, gasp_prepare, perturb_state
-from .grover import OracleSpec, marked_probability, search_circuit
+from .gasp import MAX_QUBITS, GaConfig, gasp_prepare, perturb_state
+from .grover import LAYER_POLICIES, OracleSpec, marked_probability, search_circuit
 from .qsa import QsaConfig, accuracy, classical_min_hamming, run_qsa
 from .registers import (
     Database,
@@ -29,11 +29,17 @@ from .registers import (
     initialisation_unitary,
     state_preparation_circuit,
 )
-from .simcore import Statevector, fidelity, run_circuit, sample_counts
+from .simcore import Circuit, Statevector, fidelity, run_circuit, sample_counts
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_FIDELITIES = tuple(round(0.05 * i, 2) for i in range(1, 21))
+
+
+def check_size(n: int) -> None:
+    """Refuse an entry width outside the [3, MAX_QUBITS] range the studies cover."""
+    if not 3 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit size {n} outside [3, {MAX_QUBITS}]")
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,7 @@ class SweepConfig:
         if not self.qubit_sizes:
             raise ValueError("at least one qubit size is required")
         for n in self.qubit_sizes:
-            if not 3 <= n <= 8:
-                raise ValueError(f"qubit size {n} outside [3, 8]")
+            check_size(n)
         for f in self.fidelities:
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"fidelity {f} outside (0, 1]")
@@ -63,7 +68,7 @@ class SweepConfig:
             raise ValueError("shots must be >= 1")
         if self.db_size_rule not in ("floor", "ceil"):
             raise ValueError(f"unknown db size rule {self.db_size_rule!r}")
-        if self.layer_policy not in ("paper_ceil", "best_integer"):
+        if self.layer_policy not in LAYER_POLICIES:
             raise ValueError(f"unknown layer policy {self.layer_policy!r}")
 
 
@@ -115,8 +120,7 @@ def database_size_for(n: int, rule: str = "floor") -> int:
 
 def random_database(n: int, rule: str = "floor", seed=None) -> Database:
     """Distinct uniform-random n-bit entries, count set by the size rule."""
-    if not 3 <= n <= 8:
-        raise ValueError(f"qubit size {n} outside [3, 8]")
+    check_size(n)
     size = database_size_for(n, rule)
     rng = np.random.default_rng(seed)
     values = rng.choice(1 << n, size=size, replace=False)
@@ -125,8 +129,7 @@ def random_database(n: int, rule: str = "floor", seed=None) -> Database:
 
 def random_target(n: int, seed=None) -> TargetSequence:
     """Uniform n-bit target, independent of any database."""
-    if not 3 <= n <= 8:
-        raise ValueError(f"qubit size {n} outside [3, 8]")
+    check_size(n)
     rng = np.random.default_rng(seed)
     return TargetSequence(format(int(rng.integers(1 << n)), f"0{n}b"))
 
@@ -171,8 +174,33 @@ def _trial_seed(master: int, n: int, fidelity_index: int, trial: int) -> int:
     return int(root.generate_state(1)[0])
 
 
-def _sub_seed(trial_seed: int, purpose: int) -> int:
-    return int(np.random.SeedSequence([trial_seed, purpose]).generate_state(1)[0])
+def sub_seed(seed: int, purpose: int) -> int:
+    """Seed of an independent stream derived from ``seed`` for one purpose."""
+    return int(np.random.SeedSequence([seed, purpose]).generate_state(1)[0])
+
+
+def calibrated_loader(
+    db: Database, target_fidelity: float, perturb_seed: int, ga_config: GaConfig | None = None
+) -> Circuit:
+    """Database loader whose fidelity to the database state is near a request.
+
+    The database state is perturbed to the requested fidelity. With no
+    ga_config the perturbed state is synthesized exactly, so the loader's
+    infidelity is precisely the calibrated one; otherwise a circuit is
+    evolved against it and inherits its synthesis gap.
+    """
+    perturbed, _ = perturb_state(database_state(db), target_fidelity, perturb_seed)
+    if ga_config is None:
+        return state_preparation_circuit(perturbed)
+    return gasp_prepare(perturbed, ga_config).circuit
+
+
+def _instance(n: int, rule: str, trial_seed: int) -> tuple[Database, TargetSequence, int]:
+    """A trial's database, target and classical minimum distance."""
+    db = random_database(n, rule, sub_seed(trial_seed, 0))
+    target = random_target(n, sub_seed(trial_seed, 1))
+    d_min, _ = classical_min_hamming(db, target)
+    return db, target, d_min
 
 
 def run_sweep_trial(
@@ -184,32 +212,23 @@ def run_sweep_trial(
     db_size_rule: str = "floor",
     layer_policy: str = "paper_ceil",
     mode: str = "fast",
-    ga_config: GaConfig | None = None,
 ) -> SweepRecord:
     """One sweep point: fresh instance, calibrated loader, full search.
 
-    fast mode synthesizes the perturbed database state exactly, so the
-    loader's infidelity is precisely the calibrated one; full mode evolves
-    a circuit against the perturbed state and inherits its synthesis gap.
+    fast mode synthesizes the perturbed database state exactly; full mode
+    evolves its loader genetically (see calibrated_loader).
     """
-    db = random_database(n, db_size_rule, _sub_seed(trial_seed, 0))
-    target = random_target(n, _sub_seed(trial_seed, 1))
-    d_min, _ = classical_min_hamming(db, target)
-    ideal_state = database_state(db)
-    perturbed, _ = perturb_state(ideal_state, target_fidelity, _sub_seed(trial_seed, 2))
-    if mode == "fast":
-        loader = state_preparation_circuit(perturbed)
-    elif mode == "full":
-        config = replace(ga_config or GaConfig(), rng_seed=_sub_seed(trial_seed, 3))
-        loader = gasp_prepare(perturbed, config).circuit
-    else:
+    if mode not in ("fast", "full"):
         raise ValueError(f"unknown sweep mode {mode!r}")
-    achieved = fidelity(ideal_state, run_circuit(loader))
+    db, target, d_min = _instance(n, db_size_rule, trial_seed)
+    ga_config = GaConfig(rng_seed=sub_seed(trial_seed, 3)) if mode == "full" else None
+    loader = calibrated_loader(db, target_fidelity, sub_seed(trial_seed, 2), ga_config)
+    achieved = fidelity(database_state(db), run_circuit(loader))
     result = run_qsa(
         loader,
         db,
         target,
-        QsaConfig(shots=shots, layer_policy=layer_policy, rng_seed=_sub_seed(trial_seed, 4)),
+        QsaConfig(shots=shots, layer_policy=layer_policy, rng_seed=sub_seed(trial_seed, 4)),
     )
     return SweepRecord(
         n=n,
@@ -233,9 +252,7 @@ def _sweep_work_item(args: tuple) -> SweepRecord:
             shots=shots, db_size_rule=rule, layer_policy=policy, mode=mode,
         )
     except Exception as exc:
-        db = random_database(n, rule, _sub_seed(trial_seed, 0))
-        target = random_target(n, _sub_seed(trial_seed, 1))
-        d_min, _ = classical_min_hamming(db, target)
+        db, _, d_min = _instance(n, rule, trial_seed)
         return SweepRecord(
             n=n,
             N=db.size,

@@ -4,7 +4,8 @@ Two ways to reach a state with a prescribed fidelity: evolve a gate list
 whose output state matches a target (gasp_prepare), and analytically rotate
 a target state under a random Hermitian generator until its overlap with
 the original hits a requested value (perturb_state). Composing the two
-yields database loaders with a tunable a-priori fidelity.
+yields database loaders with a tunable a-priori fidelity
+(experiments.calibrated_loader).
 """
 from __future__ import annotations
 
@@ -14,10 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import Database, database_state
 from .simcore import Circuit, Gate, Statevector, cnot, fidelity, run_circuit, run_sequences, rx, ry, rz
 
 logger = logging.getLogger(__name__)
+
+# widest state gasp_prepare synthesises; the CLI and experiments.check_size
+# hold database entries to the same width, which keeps the 2n + k qubit
+# search register at 2^20 amplitudes or fewer
+MAX_QUBITS = 8
 
 _ROTATIONS = ("RX", "RY", "RZ")
 _GATE_BUILDERS = {"RX": rx, "RY": ry, "RZ": rz}
@@ -194,8 +199,8 @@ def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResu
     target was not reached within max_generations.
     """
     n = target.num_qubits
-    if n > 8:
-        raise ValueError("synthesis supported up to 8 qubits")
+    if n > MAX_QUBITS:
+        raise ValueError(f"synthesis supported up to {MAX_QUBITS} qubits")
     if abs(target.norm() - 1.0) > 1e-8:
         raise ValueError("target state must be normalized")
     rng = np.random.default_rng(config.rng_seed)
@@ -341,29 +346,3 @@ def perturb_state(
     raise RuntimeError(
         f"could not calibrate fidelity {target_fidelity} after 6 Hermitian draws"
     )
-
-
-# sub-stream tag separating a loader's perturbation from the other draws
-# made under the same seed
-_PERTURB_TAG = 0x5EED
-
-
-def perturbation_seed(rng_seed: int | None) -> int | None:
-    """Seed of the perturbation behind a loader built under ``rng_seed``."""
-    if rng_seed is None:
-        return None
-    return int(np.random.SeedSequence([rng_seed, _PERTURB_TAG]).generate_state(1)[0])
-
-
-def fidelity_calibrated_loader(
-    db: Database, target_fidelity: float, config: GaConfig = GaConfig()
-) -> Circuit:
-    """Loader circuit whose fidelity to the database state is near a request.
-
-    The database state is first perturbed to the requested fidelity, then a
-    circuit is evolved to >= config.fidelity_target fidelity against the
-    perturbed state, so the composition lands close to the request.
-    """
-    seed = perturbation_seed(config.rng_seed)
-    perturbed, _ = perturb_state(database_state(db), target_fidelity, seed)
-    return gasp_prepare(perturbed, config).circuit

@@ -16,6 +16,10 @@ import numpy as np
 from .registers import RegisterLayout
 from .simcore import Circuit, Statevector, concat, invert, mcz, x
 
+# layer-count policies make_plan accepts: the paper's closed-form ceiling,
+# and the exact integer argmax of the success probability
+LAYER_POLICIES = ("paper_ceil", "best_integer")
+
 
 @dataclass(frozen=True)
 class OracleSpec:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grover import OracleSpec, make_plan, search_circuit
+from .grover import LAYER_POLICIES, OracleSpec, make_plan, search_circuit
 from .registers import (
     Database,
     RegisterLayout,
@@ -48,7 +48,7 @@ class QsaConfig:
             raise ValueError("shots must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.layer_policy not in ("paper_ceil", "best_integer"):
+        if self.layer_policy not in LAYER_POLICIES:
             raise ValueError(f"unknown layer policy {self.layer_policy!r}")
 
 
@@ -214,4 +214,5 @@ def result_record(
         "shots": config.shots,
         "accuracy": result.accuracy,
         "seed": config.rng_seed,
+        "degraded": result.degraded,
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -112,35 +112,15 @@ class Database:
         return len(self.entries)
 
     @classmethod
-    def from_bitstrings(cls, entries: Iterable[str], n: int | None = None) -> "Database":
-        """Build a database, collapsing duplicates (with a warning) first."""
-        seen: dict[str, None] = {}
-        dropped = 0
-        for e in entries:
-            if e in seen:
-                dropped += 1
-            else:
-                seen[e] = None
-        if dropped:
-            logger.warning("collapsed %d duplicate database entries", dropped)
-        distinct = tuple(seen)
-        if n is None:
-            if not distinct:
-                raise ValueError("cannot infer width from an empty entry list")
-            n = len(distinct[0])
-        return cls(n, distinct)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Database":
-        """File format: first line 'n=<width>', then one bit string per line."""
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("n="):
-            raise ValueError("database text must start with an 'n=<width>' header")
-        n = int(lines[0].split("=", 1)[1])
-        return cls.from_bitstrings(lines[1:], n=n)
-
-    def to_text(self) -> str:
-        return f"n={self.n}\n" + "\n".join(self.entries) + "\n"
+    def from_bitstrings(cls, entries: Iterable[str]) -> "Database":
+        """Database as wide as its first entry; duplicates collapse, with a warning."""
+        entries = list(entries)
+        distinct = tuple(dict.fromkeys(entries))
+        if len(distinct) < len(entries):
+            logger.warning("collapsed %d duplicate database entries", len(entries) - len(distinct))
+        if not distinct:
+            raise ValueError("cannot infer width from an empty entry list")
+        return cls(len(distinct[0]), distinct)
 
 
 @dataclass(frozen=True)
@@ -205,11 +185,6 @@ class RegisterLayout:
         if len(outcome) != self.total:
             raise ValueError(f"outcome {outcome!r} is not {self.total} bits wide")
         return outcome[self.total - self.n :]
-
-    def distance_bits(self, outcome: str) -> str:
-        if len(outcome) != self.total:
-            raise ValueError(f"outcome {outcome!r} is not {self.total} bits wide")
-        return outcome[: self.k]
 
 
 def database_state(db: Database) -> Statevector:

@@ -258,10 +258,6 @@ def index_to_bits(index: int, num_qubits: int) -> str:
     return format(index, f"0{num_qubits}b")
 
 
-def bits_to_index(bits: str) -> int:
-    return int(bits, 2)
-
-
 def _frozen(rows) -> np.ndarray:
     matrix = np.array(rows, dtype=np.complex128)
     matrix.flags.writeable = False

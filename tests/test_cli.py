@@ -1,13 +1,15 @@
 """Command-line interface: subcommands, exit codes, stdout contracts."""
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import qsalign.cli as cli
 from qsalign.checks import CheckResult
 from qsalign.cli import main
 from qsalign.registers import Database, database_state
-from qsalign.simcore import fidelity, parse_circuit, run_circuit
+from qsalign.simcore import fidelity, parse_circuit, run_circuit, serialize_circuit
 
 
 def _write(path, text):
@@ -135,6 +137,58 @@ def test_run_fidelity_loader(db3, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_run_full_fidelity_loader_pinned(db3, monkeypatch, capsys):
+    # digest read off the code before the CLI and the sweep shared one
+    # loader builder: --full must keep its seeds and its circuit
+    loaders = []
+    run_qsa = cli.run_qsa
+
+    def spy(loader, *args):
+        loaders.append(loader)
+        return run_qsa(loader, *args)
+
+    monkeypatch.setattr(cli, "run_qsa", spy)
+    argv = ["run", "--db", db3, "--target", "100", "--fidelity", "0.8", "--full", "--seed", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    text = serialize_circuit(loaders[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "62ce0034525b6a24d4ada9d28ed5c52f4668784fd9e4f02970c130ffc85d6e97"
+    )
+
+
+class _Allocated(Exception):
+    pass
+
+
+def test_oversized_entries_refused_before_allocation(tmp_path, monkeypatch, capsys, caplog):
+    def allocate(*args, **kwargs):
+        raise _Allocated("allocation attempted")
+
+    for name in ("_loader_for", "run_qsa", "gasp_prepare"):
+        monkeypatch.setattr(cli, name, allocate)
+    alphabet = _write(tmp_path / "alphabet.txt", "A\nT\nG\nC\n")
+    dna = _write(tmp_path / "dna.txt", "GATTACA\nGATTACC\n")
+    # 7 symbols of 2 bits: a 32-qubit search register, 64 GiB per statevector
+    argv = ["run", "--db", dna, "--target", "GATTACA", "--alphabet", alphabet]
+    assert main(argv + ["--fidelity", "0.9"]) == 1
+    err = capsys.readouterr().err
+    assert "14 bits wide, over the limit of 8" in err
+    assert "32 qubits (65536 MiB per statevector)" in err
+    assert main(["gasp", "--db", dna, "--alphabet", alphabet]) == 1
+    assert "14 bits wide, over the limit of 8" in capsys.readouterr().err
+    nine = _write(tmp_path / "nine.txt", "000000000\n111111111\n")
+    assert main(["run", "--db", nine, "--target", "000000001"]) == 1
+    assert main(["gasp", "--db", nine]) == 1
+    assert "9 bits wide" in capsys.readouterr().err
+    # 8-bit entries pass the check and go on to build the loader
+    eight = _write(tmp_path / "eight.txt", "00000000\n11111111\n")
+    assert main(["run", "--db", eight, "--target", "00000001"]) == 2
+    assert main(["gasp", "--db", eight]) == 2
+    capsys.readouterr()
+    assert [r.getMessage() for r in caplog.records] == ["allocation attempted"] * 2
+
+
 def test_layers_json_lines(tmp_path, capsys):
     out = tmp_path / "layers.jsonl"
     rc = main(["layers", "--n", "3", "--p-max", "2", "--shots", "256", "--out", str(out)])
@@ -210,8 +264,6 @@ def test_verify_quick_passes(capsys):
 
 
 def test_verify_failure_exits_2(monkeypatch, capsys):
-    import qsalign.cli as cli
-
     monkeypatch.setattr(
         cli, "run_checks", lambda level: [CheckResult("popcount", False, "injected fault")]
     )

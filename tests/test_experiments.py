@@ -9,15 +9,20 @@ from qsalign.experiments import (
     DEFAULT_FIDELITIES,
     SweepConfig,
     SweepRecord,
+    calibrated_loader,
     database_size_for,
     fidelity_sweep,
     layer_study,
     random_database,
     random_target,
     run_sweep_trial,
+    sub_seed,
     summarize,
     write_sweep_files,
 )
+from qsalign.gasp import GaConfig
+from qsalign.registers import Database, database_state
+from qsalign.simcore import fidelity, run_circuit
 
 
 def test_default_fidelity_grid():
@@ -112,6 +117,33 @@ def test_run_sweep_trial_record():
     assert record.layers >= 1
     # same derived seed reproduces the record exactly
     assert run_sweep_trial(3, 0.9, trial_seed=12345, trial=2, shots=1024) == record
+
+
+def test_run_sweep_trial_loader_pinned():
+    # read off the code that built the sweep's loaders inline, before they
+    # went through calibrated_loader: the loader wiring (seeds and builder)
+    # must not move by one ulp
+    fast = run_sweep_trial(3, 0.9, 12345, 2, shots=1024, mode="fast")
+    assert fast.achieved_fidelity.hex() == "0x1.ccccb4c0a588cp-1"
+    assert fast.accuracy == 0.708432951630023
+    full = run_sweep_trial(3, 0.9, 12345, 2, shots=1024, mode="full")
+    assert full.achieved_fidelity.hex() == "0x1.ccf637ed252c9p-1"
+    assert full.accuracy == 0.7091350561522914
+    with pytest.raises(ValueError):
+        run_sweep_trial(3, 0.9, 12345, 2, mode="approximate")
+
+
+def test_calibrated_loader_lands_near_request():
+    db = Database(2, ("00", "11"))
+    requested = 0.8
+    ideal = database_state(db)
+    exact = calibrated_loader(db, requested, sub_seed(6, 0x5EED))
+    # exact synthesis keeps the perturbation's own calibration tolerance
+    assert abs(fidelity(run_circuit(exact), ideal) - requested) < 1e-4 + 1e-12
+    evolved = calibrated_loader(db, requested, sub_seed(6, 0x5EED), GaConfig(rng_seed=6))
+    # synthesis tolerance (>= 0.99 against the perturbed state) stacks on
+    # the perturbation tolerance, so allow a loose band around the request
+    assert abs(fidelity(run_circuit(evolved), ideal) - requested) < 0.05
 
 
 def test_summarize_groups_and_skips_errors():

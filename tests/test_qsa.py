@@ -170,7 +170,7 @@ def test_result_record_schema():
     record = result_record(run_qsa(exact_loader(db), db, target, config), db, target, config)
     assert list(record) == [
         "n", "N", "target", "d_min_classical", "match",
-        "distance", "layers", "shots", "accuracy", "seed",
+        "distance", "layers", "shots", "accuracy", "seed", "degraded",
     ]
     assert record["n"] == 3
     assert record["N"] == 2

