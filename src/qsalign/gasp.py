@@ -1,10 +1,10 @@
 """Genetic-algorithm circuit synthesis and fidelity-targeted perturbation.
 
 Two ways to reach a state with a prescribed fidelity: evolve a gate list
-whose output state matches a target (gasp_prepare), and analytically rotate
-a target state under a random Hermitian generator until its overlap with
-the original hits a requested value (perturb_state). Composing the two
-yields database loaders with a tunable a-priori fidelity
+whose output state matches a target (gasp_prepare), and mix a target state
+with a random state orthogonal to it, in closed form, so that the overlap
+with the original is exactly a requested value (perturb_state). Composing
+the two yields database loaders with a tunable a-priori fidelity
 (experiments.calibrated_loader).
 """
 from __future__ import annotations
@@ -69,7 +69,11 @@ class GaConfig:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Record of one solved perturbation: enough to rebuild it exactly."""
+    """Record of one perturbation: enough to rebuild it exactly.
+
+    hermitian_seed is the seed perturb_state used; it keeps the name of the
+    random-Hermitian model the closed form reproduces. epsilon = acos(sqrt(F)).
+    """
 
     target_fidelity: float
     hermitian_seed: int | None
@@ -274,30 +278,14 @@ def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResu
     return GaspResult(circuit, best.fitness, converged, generations)
 
 
-def random_hermitian(dim: int, seed=None) -> np.ndarray:
-    """(A + A†)/2 for A with independent standard complex Gaussian entries."""
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2
-
-
-_EPSILON_CEILING = 1e6
-_FIDELITY_TOLERANCE = 1e-4
-
-
 def perturb_state(
     target: Statevector, target_fidelity: float, seed: int | None = None
 ) -> tuple[Statevector, PerturbationSpec]:
-    """Evolve the target under a random Hermitian until fidelity drops to a value.
+    """Return sqrt(F) psi + sqrt(1 - F) chi, chi Haar-random orthogonal to psi.
 
-    Diagonalizes H once; the overlap |<t|e^{-i eps H}|t>|^2 then reduces to
-    |sum_k p_k e^{-i eps w_k}|^2 over eigenvalue weights, which is cheap to
-    scan. The smallest bracketing interval found by geometric expansion
-    from eps = 1e-3 is bisected until the achieved fidelity sits within
-    1e-4 of the request. If an H never dips below the request before the
-    expansion ceiling, a fresh H is drawn from a derived seed (5 retries).
+    |<psi|out>|^2 = F to rounding. GUE is unitarily invariant, so up to a
+    global phase this is how psi evolved under a random GUE Hermitian is
+    distributed once the evolution time brings its fidelity down to F.
     """
     if not 0.0 < target_fidelity <= 1.0:
         raise ValueError("target fidelity must lie in (0, 1]")
@@ -305,44 +293,13 @@ def perturb_state(
         seed = int(np.random.SeedSequence().generate_state(1)[0])
     if target_fidelity == 1.0:
         return target.copy(), PerturbationSpec(1.0, seed, 0.0)
-
-    dim = 1 << target.num_qubits
+    if target.num_qubits == 0:
+        raise ValueError("a 0-qubit state has no state orthogonal to it")
     psi = target.amplitudes
-    for attempt in range(6):
-        if attempt == 0:
-            h_seed = seed
-        else:
-            h_seed = int(np.random.SeedSequence([seed, attempt]).generate_state(1)[0])
-        w, basis = np.linalg.eigh(random_hermitian(dim, h_seed))
-        coeffs = basis.conj().T @ psi
-        weights = np.abs(coeffs) ** 2
-
-        def excess(eps):
-            return abs(np.sum(weights * np.exp(-1j * eps * w))) ** 2 - target_fidelity
-
-        lo, hi = 0.0, 1e-3
-        while hi <= _EPSILON_CEILING and excess(hi) > 0:
-            lo, hi = hi, hi * 2
-        if hi > _EPSILON_CEILING:
-            logger.debug("no bracket for fidelity %.4f, resampling H", target_fidelity)
-            continue
-        mid = hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f_mid = excess(mid)
-            if abs(f_mid) <= 1e-6:
-                break
-            if f_mid > 0:
-                lo = mid
-            else:
-                hi = mid
-        out = basis @ (np.exp(-1j * mid * w) * coeffs)
-        achieved = abs(np.vdot(psi, out)) ** 2
-        if abs(achieved - target_fidelity) <= _FIDELITY_TOLERANCE:
-            return (
-                Statevector(target.num_qubits, out),
-                PerturbationSpec(target_fidelity, h_seed, mid),
-            )
-    raise RuntimeError(
-        f"could not calibrate fidelity {target_fidelity} after 6 Hermitian draws"
-    )
+    rng = np.random.default_rng(seed)
+    chi = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
+    chi -= np.vdot(psi, chi) * psi
+    chi /= np.linalg.norm(chi)
+    out = math.sqrt(target_fidelity) * psi + math.sqrt(1.0 - target_fidelity) * chi
+    spec = PerturbationSpec(target_fidelity, seed, math.acos(math.sqrt(target_fidelity)))
+    return Statevector(target.num_qubits, out), spec

@@ -8,6 +8,9 @@ every hooked name must still resolve to a callable.
 import importlib
 from pathlib import Path
 
+from qsalign.experiments import random_database
+from qsalign.registers import database_state
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -22,3 +25,16 @@ def test_every_bench_hook_resolves(monkeypatch):
         if not callable(getattr(module, attr, None))
     ]
     assert not missing
+
+
+def test_perturbation_reports_the_seed_it_was_given(monkeypatch):
+    # the traced sweep counts a returned hermitian_seed other than the seed
+    # passed in as a redraw, so perturb_state must hand its seed back
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    state = database_state(random_database(3, "floor", 0))
+    for fidelity in (0.8, 1.0):
+        args = (state, fidelity, 4321)
+        result = layers.experiments.perturb_state(*args)
+        assert result[1].hermitian_seed == 4321
+        assert layers._redraw(args, {}, result) == 0

@@ -138,8 +138,8 @@ def test_run_fidelity_loader(db3, capsys):
 
 
 def test_run_full_fidelity_loader_pinned(db3, monkeypatch, capsys):
-    # digest read off the code before the CLI and the sweep shared one
-    # loader builder: --full must keep its seeds and its circuit
+    # digest read off the closed-form perturbation: --full must keep its
+    # seeds and its circuit
     loaders = []
     run_qsa = cli.run_qsa
 
@@ -153,7 +153,7 @@ def test_run_full_fidelity_loader_pinned(db3, monkeypatch, capsys):
     capsys.readouterr()
     text = serialize_circuit(loaders[0])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "62ce0034525b6a24d4ada9d28ed5c52f4668784fd9e4f02970c130ffc85d6e97"
+        "bb41dc79d5dfe7e9c938e1a3cc83185723bd83c1318384f26b28a514b50bb777"
     )
 
 

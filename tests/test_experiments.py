@@ -120,15 +120,14 @@ def test_run_sweep_trial_record():
 
 
 def test_run_sweep_trial_loader_pinned():
-    # read off the code that built the sweep's loaders inline, before they
-    # went through calibrated_loader: the loader wiring (seeds and builder)
-    # must not move by one ulp
+    # read off the closed-form perturbation: the loader wiring (seeds,
+    # perturbation and builder) must not move by one ulp
     fast = run_sweep_trial(3, 0.9, 12345, 2, shots=1024, mode="fast")
-    assert fast.achieved_fidelity.hex() == "0x1.ccccb4c0a588cp-1"
-    assert fast.accuracy == 0.708432951630023
+    assert fast.achieved_fidelity.hex() == "0x1.cccccccccccccp-1"
+    assert fast.accuracy == 0.9887630542454369
     full = run_sweep_trial(3, 0.9, 12345, 2, shots=1024, mode="full")
-    assert full.achieved_fidelity.hex() == "0x1.ccf637ed252c9p-1"
-    assert full.accuracy == 0.7091350561522914
+    assert full.achieved_fidelity.hex() == "0x1.c868c983924c7p-1"
+    assert full.accuracy == 0.9703034455305468
     with pytest.raises(ValueError):
         run_sweep_trial(3, 0.9, 12345, 2, mode="approximate")
 
@@ -138,11 +137,11 @@ def test_calibrated_loader_lands_near_request():
     requested = 0.8
     ideal = database_state(db)
     exact = calibrated_loader(db, requested, sub_seed(6, 0x5EED))
-    # exact synthesis keeps the perturbation's own calibration tolerance
+    # exact synthesis keeps the perturbation's calibration, exact to rounding
     assert abs(fidelity(run_circuit(exact), ideal) - requested) < 1e-4 + 1e-12
     evolved = calibrated_loader(db, requested, sub_seed(6, 0x5EED), GaConfig(rng_seed=6))
-    # synthesis tolerance (>= 0.99 against the perturbed state) stacks on
-    # the perturbation tolerance, so allow a loose band around the request
+    # synthesis stops at >= 0.99 against the perturbed state, so allow a
+    # loose band around the request
     assert abs(fidelity(run_circuit(evolved), ideal) - requested) < 0.05
 
 

@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.stats import ks_2samp
 
 from qsalign import gasp
 from qsalign.gasp import (
@@ -12,7 +16,6 @@ from qsalign.gasp import (
     gasp_prepare,
     genome_circuit,
     perturb_state,
-    random_hermitian,
 )
 from qsalign.experiments import random_database
 from qsalign.registers import database_state
@@ -97,14 +100,6 @@ def test_gasp_validation():
         gasp_prepare(zero_state(9))
 
 
-def test_random_hermitian():
-    m = random_hermitian(8, seed=4)
-    assert m.shape == (8, 8)
-    assert np.allclose(m, m.conj().T)
-    assert np.array_equal(m, random_hermitian(8, seed=4))
-    assert not np.array_equal(m, random_hermitian(8, seed=5))
-
-
 def test_perturbation_spec_validation():
     PerturbationSpec(0.5, 1, 0.1)
     with pytest.raises(ValueError):
@@ -123,7 +118,7 @@ def test_perturb_state_hits_requested_fidelity():
         target = Statevector(n, amps)
         for requested in (0.9, 0.5, 0.12):
             perturbed, spec = perturb_state(target, requested, seed=77)
-            assert abs(fidelity(perturbed, target) - requested) < 1e-4
+            assert abs(fidelity(perturbed, target) - requested) < 1e-12
             assert np.isclose(perturbed.norm(), 1.0)
             assert spec.target_fidelity == requested
             assert spec.epsilon > 0
@@ -151,3 +146,85 @@ def test_perturb_state_validation():
         perturb_state(zero_state(2), 0.0, seed=1)
     with pytest.raises(ValueError):
         perturb_state(zero_state(2), 1.1, seed=1)
+    # a single amplitude has no orthogonal direction to move into
+    with pytest.raises(ValueError):
+        perturb_state(zero_state(0), 0.5, seed=1)
+    assert perturb_state(zero_state(0), 1.0, seed=1)[0].amplitudes[0] == 1.0
+
+
+def _random_state(n, seed):
+    # uniform, not Gaussian, draws: with seed equal to perturb_state's, the
+    # same Gaussian draws would make chi parallel to the target
+    re, im = np.random.default_rng(seed).uniform(-1, 1, size=(2, 1 << n))
+    amps = re + 1j * im
+    return Statevector(n, amps / np.linalg.norm(amps))
+
+
+def _check_perturbation(n, requested, seed, state_seed):
+    target = _random_state(n, state_seed)
+    out, spec = perturb_state(target, requested, seed)
+    assert abs(abs(np.vdot(target.amplitudes, out.amplitudes)) ** 2 - requested) <= 1e-12
+    assert abs(out.norm() - 1.0) <= 1e-12
+    assert np.array_equal(out.amplitudes, perturb_state(target, requested, seed)[0].amplitudes)
+    assert not np.array_equal(out.amplitudes, perturb_state(target, requested, seed + 1)[0].amplitudes)
+    assert spec.hermitian_seed == seed
+    assert spec.epsilon == math.acos(math.sqrt(requested))
+
+
+@given(
+    n=st.integers(1, 10),
+    requested=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**63),
+    state_seed=st.integers(0, 2**32),
+)
+def test_perturb_state_exact_calibration(n, requested, seed, state_seed):
+    _check_perturbation(n, requested, seed, state_seed)
+
+
+def test_perturb_state_exact_calibration_14_qubits():
+    # the width of a 7-symbol DNA entry, where a dense 2^14 x 2^14
+    # generator would take 4 GiB
+    _check_perturbation(14, 0.37, 2024, 14)
+
+
+def _gue_perturbation(psi, requested, rng):
+    """The random-Hermitian model perturb_state reproduces in distribution.
+
+    Evolves psi under (A + A^dagger)/2, A complex Gaussian, for the epsilon
+    at which the fidelity falls to the request: brentq on the first bracket
+    of a doubling scan from 1e-3. A generator whose fidelity is still above
+    the request at epsilon = 1e6 is redrawn.
+    """
+    dim = psi.size
+    while True:
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        w, basis = np.linalg.eigh((a + a.conj().T) / 2)
+        coeffs = basis.conj().T @ psi
+        weights = np.abs(coeffs) ** 2
+
+        def excess(eps):
+            return abs(np.sum(weights * np.exp(-1j * eps * w))) ** 2 - requested
+
+        lo, hi = 0.0, 1e-3
+        while hi <= 1e6 and excess(hi) > 0:
+            lo, hi = hi, 2 * hi
+        if hi <= 1e6:
+            return basis @ (np.exp(-1j * brentq(excess, lo, hi, xtol=1e-14) * w) * coeffs)
+
+
+def test_perturb_state_matches_gue_model_in_distribution():
+    # phase-blind statistics, since the two models differ by a global
+    # phase: the probability of an index outside the database, of an entry,
+    # and the largest probability
+    target = database_state(random_database(3, "floor", 0))
+    outside = int(np.argmin(target.probabilities()))
+    entry = int(np.argmax(target.probabilities()))
+    draws = 600
+    rng = np.random.default_rng(606)
+    for requested in (0.9, 0.5, 0.2):
+        closed = np.array(
+            [perturb_state(target, requested, seed)[0].probabilities() for seed in range(draws)]
+        )
+        gue = np.abs([_gue_perturbation(target.amplitudes, requested, rng) for _ in range(draws)]) ** 2
+        for stat in (lambda p: p[:, outside], lambda p: p[:, entry], lambda p: p.max(axis=1)):
+            assert ks_2samp(stat(closed), stat(gue)).pvalue >= 0.01
