@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .gasp import MAX_QUBITS, GaConfig, gasp_prepare, perturb_state
-from .grover import LAYER_POLICIES, OracleSpec, marked_probability, search_circuit
+from .grover import LAYER_POLICIES, OracleSpec, grover_layer, marked_probability
 from .qsa import QsaConfig, accuracy, classical_min_hamming, run_qsa
 from .registers import (
     Database,
@@ -29,7 +29,7 @@ from .registers import (
     initialisation_unitary,
     state_preparation_circuit,
 )
-from .simcore import Circuit, Statevector, fidelity, run_circuit, sample_counts
+from .simcore import Circuit, Statevector, apply_circuit, fidelity, run_circuit, sample_counts
 
 logger = logging.getLogger(__name__)
 
@@ -158,10 +158,12 @@ def layer_study(n: int, p_max: int, seed=None, shots: int = 4096) -> list[LayerP
     reference[layout.pack_index(int(target.bits, 2), 0, 0)] = 1.0
     reference = Statevector(layout.total, reference)
 
+    layer = grover_layer(prep, OracleSpec(0, layout))
+    state = run_circuit(prep)
     points = []
-    for p, shot_seed in zip(range(p_max + 1), shot_seeds):
-        circuit = search_circuit(prep, OracleSpec(0, layout), p)
-        state = run_circuit(circuit)
+    for p, shot_seed in enumerate(shot_seeds):
+        if p:
+            state = apply_circuit(state, layer)
         counts = sample_counts(state, shots, shot_seed)
         points.append(
             LayerPoint(p, accuracy(counts, reference), marked_probability(state, layout, 0))

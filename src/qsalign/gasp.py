@@ -286,6 +286,8 @@ def perturb_state(
     |<psi|out>|^2 = F to rounding. GUE is unitarily invariant, so up to a
     global phase this is how psi evolved under a random GUE Hermitian is
     distributed once the evolution time brings its fidelity down to F.
+    A seed whose draw is parallel to psi, so that only rounding noise is
+    left of it once psi is projected out, raises ValueError.
     """
     if not 0.0 < target_fidelity <= 1.0:
         raise ValueError("target fidelity must lie in (0, 1]")
@@ -300,6 +302,8 @@ def perturb_state(
     chi = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
     chi -= np.vdot(psi, chi) * psi
     chi /= np.linalg.norm(chi)
+    if abs(np.vdot(psi, chi)) > 1e-12:
+        raise ValueError(f"seed {seed} draws a direction parallel to the target state")
     out = math.sqrt(target_fidelity) * psi + math.sqrt(1.0 - target_fidelity) * chi
     spec = PerturbationSpec(target_fidelity, seed, math.acos(math.sqrt(target_fidelity)))
     return Statevector(target.num_qubits, out), spec

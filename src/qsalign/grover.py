@@ -3,8 +3,8 @@
 The oracle flips the sign of branches whose distance register equals the
 probe distance delta; diffusion reflects about the full prepared state by
 conjugating a reflection about |0...0> with the initialisation circuit.
-Both are reflections, so each squares to the identity (up to global phase,
-which nothing here observes).
+Both sign flips are one MCZ, and both are reflections, so each squares to
+the identity (up to global phase, which nothing here observes).
 """
 from __future__ import annotations
 
@@ -51,34 +51,34 @@ class GroverPlan:
             raise ValueError("a plan always runs at least one layer")
 
 
-def phase_oracle(spec: OracleSpec) -> Circuit:
-    """Multiply by -1 exactly on basis states whose distance register is delta.
+def _flip_sign(num_qubits: int, pattern) -> Circuit:
+    """Multiply by -1 exactly on basis states matching ``pattern``.
 
-    Realized as one MCZ over the distance register with control polarities
-    matching delta's bits; when delta is zero (no 1-bit to host the Z), the
-    lowest distance qubit is X-conjugated to stand in.
+    ``pattern`` lists (qubit, bit) pairs. One MCZ hosts the Z on the first
+    qubit at bit 1, controlled by the others at their bits; with no such
+    qubit, the first hosts it between two X gates.
     """
+    host = next((i for i, (_, bit) in enumerate(pattern) if bit), 0)
+    qubit, bit = pattern[host]
+    core = mcz(pattern[:host] + pattern[host + 1:], qubit)
+    wrap = () if bit else (x(qubit),)
+    return Circuit(num_qubits, wrap + (core,) + wrap)
+
+
+def phase_oracle(spec: OracleSpec) -> Circuit:
+    """Multiply by -1 exactly on basis states whose distance register is delta."""
     layout = spec.layout
-    if spec.delta >= (1 << layout.k):
-        raise ValueError(f"distance {spec.delta} not representable in {layout.k} bits")
-    dist = list(layout.distance)
-    bits = [(spec.delta >> i) & 1 for i in range(layout.k)]
-    if any(bits):
-        t = bits.index(1)
-        controls = [(dist[i], bits[i]) for i in range(layout.k) if i != t]
-        return Circuit(layout.total, (mcz(controls, dist[t]),))
-    controls = [(dist[i], 0) for i in range(1, layout.k)]
-    return Circuit(layout.total, (x(dist[0]), mcz(controls, dist[0]), x(dist[0])))
+    pattern = [(q, (spec.delta >> i) & 1) for i, q in enumerate(layout.distance)]
+    return _flip_sign(layout.total, pattern)
 
 
 def zero_reflection(num_qubits: int) -> Circuit:
-    """Reflection about |0...0> as the X-conjugated MCZ over all qubits.
+    """Reflection about |0...0>: the oracle's sign-flip MCZ at every bit 0.
 
+    Three gates at any width, the MCZ on qubit 0 between two X gates.
     Equals -(2|0><0| - I); the overall sign is an unobservable global phase.
     """
-    wrap = tuple(x(q) for q in range(num_qubits))
-    core = mcz([(q, 1) for q in range(1, num_qubits)], 0)
-    return Circuit(num_qubits, wrap + (core,) + wrap)
+    return _flip_sign(num_qubits, [(q, 0) for q in range(num_qubits)])
 
 
 def diffusion(prep: Circuit) -> Circuit:

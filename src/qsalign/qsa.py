@@ -126,16 +126,8 @@ def run_qsa(
     loader, so preparation infidelity lowers it.
     """
     layout = RegisterLayout(db.n)
-    if db_loader.num_qubits != db.n:
-        raise ValueError(
-            f"loader spans {db_loader.num_qubits} qubits, database entries are {db.n} bits"
-        )
-    if len(target.bits) != db.n:
-        raise ValueError(
-            f"target is {len(target.bits)} bits, database entries are {db.n}"
-        )
-
     seed_root = np.random.SeedSequence(config.rng_seed)
+    # refuses a loader or target of another width before any simulation
     prep = initialisation_unitary(db_loader, target, layout)
     entry_set = set(db.entries)
 

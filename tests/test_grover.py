@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsalign.experiments import calibrated_loader, random_database, random_target
 from qsalign.grover import (
     GroverPlan,
     OracleSpec,
@@ -32,8 +35,37 @@ from qsalign.simcore import (
     apply_circuit,
     basis_state,
     concat,
+    invert,
+    mcz,
     run_circuit,
+    x,
 )
+
+
+def _reference_phase_oracle(spec):
+    # reference: one MCZ on the lowest 1-bit of delta, or on the lowest
+    # distance qubit X-conjugated when delta is zero
+    layout = spec.layout
+    dist = list(layout.distance)
+    bits = [(spec.delta >> i) & 1 for i in range(layout.k)]
+    if any(bits):
+        t = bits.index(1)
+        controls = [(dist[i], bits[i]) for i in range(layout.k) if i != t]
+        return Circuit(layout.total, (mcz(controls, dist[t]),))
+    controls = [(dist[i], 0) for i in range(1, layout.k)]
+    return Circuit(layout.total, (x(dist[0]), mcz(controls, dist[0]), x(dist[0])))
+
+
+def _reference_zero_reflection(num_qubits):
+    # reference: an MCZ wrapped in X gates on every qubit, 2q + 1 gates
+    wrap = tuple(x(q) for q in range(num_qubits))
+    core = mcz([(q, 1) for q in range(1, num_qubits)], 0)
+    return Circuit(num_qubits, wrap + (core,) + wrap)
+
+
+def _reference_layer(prep, spec):
+    reflection = _reference_zero_reflection(prep.num_qubits)
+    return concat(_reference_phase_oracle(spec), invert(prep), reflection, prep)
 
 
 def test_oracle_spec_validation():
@@ -57,12 +89,53 @@ def test_phase_oracle_flips_only_matching_distance():
             assert np.isclose(state.amplitudes[idx], sign), (delta, idx)
 
 
+def test_phase_oracle_matches_reference_construction():
+    for n in range(1, 9):
+        layout = RegisterLayout(n)
+        for delta in range(n + 1):
+            spec = OracleSpec(delta, layout)
+            assert phase_oracle(spec) == _reference_phase_oracle(spec), (n, delta)
+
+
 def test_zero_reflection_signs():
-    circuit = zero_reflection(3)
-    for idx in range(8):
-        state = apply_circuit(basis_state(3, idx), circuit)
-        sign = -1.0 if idx == 0 else 1.0
-        assert np.isclose(state.amplitudes[idx], sign)
+    for q in range(1, 11):
+        circuit = zero_reflection(q)
+        assert len(circuit.gates) == 3, q
+        for idx in range(1 << q):
+            state = apply_circuit(basis_state(q, idx), circuit)
+            expected = np.zeros(1 << q, dtype=complex)
+            expected[idx] = -1.0 if idx == 0 else 1.0
+            assert np.array_equal(state.amplitudes, expected), (q, idx)
+
+
+@pytest.mark.parametrize("calibrated", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@settings(max_examples=3, deadline=None)
+@given(instance_seed=st.integers(0, 2**32 - 1), requested=st.floats(0.0, 1.0, exclude_min=True))
+def test_search_states_bit_identical_to_reference_reflections(
+    n, calibrated, instance_seed, requested
+):
+    # X swaps halves exactly and MCZ negates exactly, so the 3-gate
+    # reflection must give the very same amplitudes as the X-wrapped one
+    db = random_database(n, "floor", [instance_seed, 0])
+    target = random_target(n, [instance_seed, 1])
+    if calibrated:
+        loader = calibrated_loader(db, requested, instance_seed)
+    else:
+        loader = exact_loader(db)
+    layout = RegisterLayout(n)
+    prep = initialisation_unitary(loader, target, layout)
+    for delta in range(n + 1):
+        spec = OracleSpec(delta, layout)
+        reference_layer = _reference_layer(prep, spec)
+        # applying the reference pass one layer a step runs its gates in
+        # the order run_circuit would
+        expected = run_circuit(prep)
+        for p in range(4):
+            if p:
+                expected = apply_circuit(expected, reference_layer)
+            got = run_circuit(search_circuit(prep, spec, p))
+            assert np.array_equal(got.amplitudes, expected.amplitudes), (delta, p)
 
 
 def test_diffusion_reflects_about_prepared_state():
