@@ -29,7 +29,7 @@ from .registers import (
     initialisation_unitary,
     state_preparation_circuit,
 )
-from .simcore import Circuit, Statevector, apply_circuit, fidelity, run_circuit, sample_counts
+from .simcore import Circuit, apply_circuit, fidelity, index_to_bits, run_circuit, sample_counts
 
 logger = logging.getLogger(__name__)
 
@@ -154,9 +154,7 @@ def layer_study(n: int, p_max: int, seed=None, shots: int = 4096) -> list[LayerP
 
     layout = RegisterLayout(n)
     prep = initialisation_unitary(exact_loader(db), target, layout)
-    reference = np.zeros(1 << layout.total, dtype=complex)
-    reference[layout.pack_index(int(target.bits, 2), 0, 0)] = 1.0
-    reference = Statevector(layout.total, reference)
+    reference = {index_to_bits(layout.pack_index(int(target.bits, 2), 0, 0), layout.total): 1.0}
 
     layer = grover_layer(prep, OracleSpec(0, layout))
     state = run_circuit(prep)

@@ -2,28 +2,29 @@
 
 The driver walks probe distances delta = 0, 1, ..., n, amplifies the
 branches at each attempted delta, samples the full register, and accepts
-the data-register value of the most frequent outcome once its classical
-Hamming distance to the target equals the probe. Candidate verification is
-classical and exact, so every returned (match, distance) pair is sound by
-construction.
+the data-register value of the most frequent outcome once it is a database
+entry at classical Hamming distance delta from the target, so every match
+is an entry at its reported distance. Accuracy is scored against the
+closed-form output of the same search on an exact loader.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grover import LAYER_POLICIES, OracleSpec, make_plan, search_circuit
+from .grover import LAYER_POLICIES, OracleSpec, make_plan, search_circuit, success_probability
 from .registers import (
     Database,
     RegisterLayout,
     TargetSequence,
-    exact_loader,
+    exact_loader,  # unused here, but bench/layers.py hooks qsa.exact_loader
     hamming,
     initialisation_unitary,
 )
-from .simcore import Circuit, Statevector, run_circuit, sample_counts
+from .simcore import Circuit, index_to_bits, run_circuit, sample_counts
 
 logger = logging.getLogger(__name__)
 
@@ -77,28 +78,44 @@ def count_matches(db: Database, target: TargetSequence, delta: int) -> int:
     return sum(1 for e in db.entries if hamming(e, target.bits) == delta)
 
 
-def accuracy(counts: dict[str, int], ideal: Statevector) -> float:
-    """Cosine similarity between normalized counts and ideal probabilities.
+def ideal_distribution(
+    db: Database, target: TargetSequence, delta: int, layers: int
+) -> dict[str, float]:
+    """Outcome probabilities after ``layers`` layers at ``delta`` on an exact loader.
 
-    Both vectors live over all basis outcomes; outcomes absent from the
-    histogram contribute zero. Scale-invariant in the counts.
+    Each entry d is one branch |d, d xor t, popcount(d xor t)>. The c branches
+    at distance delta share sin^2((2p+1) theta), sin^2 theta = c/N (Boyer,
+    Brassard, Hoyer & Tapp, 1998), the rest share the remainder, and with
+    c = 0 every branch keeps 1/N. Outcomes left out have probability zero.
+    """
+    layout = RegisterLayout(db.n)
+    t = int(target.bits, 2)
+    distances = {d: (d ^ t).bit_count() for d in (int(e, 2) for e in db.entries)}
+    c = sum(1 for h in distances.values() if h == delta)
+    hit = success_probability(layers, db.size, c) if c else 0.0
+    return {
+        index_to_bits(layout.pack_index(d, d ^ t, h), layout.total):
+            hit / c if h == delta else (1.0 - hit) / (db.size - c)
+        for d, h in distances.items()
+    }
+
+
+def accuracy(counts: dict[str, int], ideal: dict[str, float]) -> float:
+    """Cosine similarity between counts and ideal outcome probabilities.
+
+    ``ideal`` may leave out outcomes of probability zero, so the dot product
+    runs over the sampled outcomes only. Scale-invariant in the counts.
     """
     if not counts:
         raise ValueError("counts histogram is empty")
-    dim = 1 << ideal.num_qubits
-    u = np.zeros(dim)
-    for outcome, c in counts.items():
-        if len(outcome) != ideal.num_qubits:
-            raise ValueError(
-                f"outcome {outcome!r} is not {ideal.num_qubits} bits wide"
-            )
-        u[int(outcome, 2)] = c
-    total = u.sum()
-    if total <= 0:
+    width = len(next(iter(ideal)))
+    for outcome in counts:
+        if len(outcome) != width:
+            raise ValueError(f"outcome {outcome!r} is not {width} bits wide")
+    if sum(counts.values()) <= 0:
         raise ValueError("counts histogram sums to zero")
-    u /= total
-    v = ideal.probabilities()
-    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+    dot = sum(c * ideal.get(outcome, 0.0) for outcome, c in counts.items())
+    return dot / (math.hypot(*counts.values()) * math.hypot(*ideal.values()))
 
 
 def _top_outcome(counts: dict[str, int]) -> str:
@@ -116,14 +133,13 @@ def run_qsa(
     """Search for the database entry nearest the target.
 
     Probes delta in increasing order, skipping values with zero classical
-    matches unless config.blind. Accepts the first candidate whose true
-    distance equals the probe. If every probe is exhausted the result is
-    flagged degraded and carries the best database entry observed in any
-    sample (the nearest entry overall if none was ever observed).
+    matches unless config.blind, and accepts the first candidate that is a
+    database entry at distance delta. If every probe is exhausted the
+    result is flagged degraded and carries the best database entry observed
+    in any sample (the nearest entry overall if none was ever observed).
 
-    The accuracy score compares the accepted attempt's histogram against
-    the final statevector of the same circuit built on an exact database
-    loader, so preparation infidelity lowers it.
+    Accuracy compares the final attempt's histogram with
+    ``ideal_distribution``, so preparation infidelity lowers it.
     """
     layout = RegisterLayout(db.n)
     seed_root = np.random.SeedSequence(config.rng_seed)
@@ -139,15 +155,13 @@ def run_qsa(
     last_delta = 0
 
     def finish(match, distance, layers, delta, counts, degraded):
-        ideal_prep = initialisation_unitary(exact_loader(db), target, layout)
-        ideal = run_circuit(search_circuit(ideal_prep, OracleSpec(delta, layout), layers))
         return QsaResult(
             match=match,
             distance=distance,
             layers_used=layers,
             delta_trace=tuple(delta_trace),
             counts=counts,
-            accuracy=accuracy(counts, ideal),
+            accuracy=accuracy(counts, ideal_distribution(db, target, delta, layers)),
             degraded=degraded,
         )
 
@@ -171,7 +185,7 @@ def run_qsa(
                     d_seen = hamming(seen, target.bits)
                     if d_seen < best_entry_distance:
                         best_entry, best_entry_distance = seen, d_seen
-            if hamming(candidate, target.bits) == delta:
+            if candidate in entry_set and hamming(candidate, target.bits) == delta:
                 return finish(candidate, delta, layers, delta, counts, degraded=False)
         logger.debug("no acceptance at delta=%d after %d attempts", delta, config.repeats)
 

@@ -75,15 +75,6 @@ def encode_sequence(text: str, alphabet: Alphabet) -> str:
     return "".join(alphabet.code(ch) for ch in text)
 
 
-def subsequence_windows(genome: str, m: int) -> list[str]:
-    """All consecutive length-m windows, in order, duplicates included."""
-    if m < 1:
-        raise ValueError("window length must be >= 1")
-    if m > len(genome):
-        raise ValueError(f"window length {m} exceeds sequence length {len(genome)}")
-    return [genome[i : i + m] for i in range(len(genome) - m + 1)]
-
-
 def _check_bits(s: str, what: str) -> None:
     if not s or set(s) - {"0", "1"}:
         raise ValueError(f"{what} must be a nonempty 0/1 string, got {s!r}")
@@ -175,10 +166,6 @@ class RegisterLayout:
 
     def pack_index(self, data_index: int, sample_index: int, distance_index: int) -> int:
         return data_index | (sample_index << self.n) | (distance_index << (2 * self.n))
-
-    def split_index(self, index: int) -> tuple[int, int, int]:
-        mask = (1 << self.n) - 1
-        return index & mask, (index >> self.n) & mask, index >> (2 * self.n)
 
     def data_bits(self, outcome: str) -> str:
         """Data-register slice of a full-register outcome bitstring."""

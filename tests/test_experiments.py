@@ -124,10 +124,10 @@ def test_run_sweep_trial_loader_pinned():
     # perturbation and builder) must not move by one ulp
     fast = run_sweep_trial(3, 0.9, 12345, 2, shots=1024, mode="fast")
     assert fast.achieved_fidelity.hex() == "0x1.cccccccccccccp-1"
-    assert fast.accuracy == 0.9887630542454369
+    assert fast.accuracy == 0.9887630542454366
     full = run_sweep_trial(3, 0.9, 12345, 2, shots=1024, mode="full")
     assert full.achieved_fidelity.hex() == "0x1.c868c983924c7p-1"
-    assert full.accuracy == 0.9703034455305468
+    assert full.accuracy == 0.9703034455305467
     with pytest.raises(ValueError):
         run_sweep_trial(3, 0.9, 12345, 2, mode="approximate")
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import ks_2samp
@@ -184,8 +184,11 @@ def _check_perturbation(n, requested, seed, state_seed):
     assert spec.epsilon == math.acos(math.sqrt(requested))
 
 
+# n is parametrised: drawn from 1..10 under the derandomised profile, half
+# of 100 examples landed on n=1 and n=4 and n=5 came up once each
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=10)
 @given(
-    n=st.integers(1, 10),
     requested=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     seed=st.integers(0, 2**63),
     state_seed=st.integers(0, 2**32),

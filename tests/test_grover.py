@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qsalign.experiments import calibrated_loader, random_database, random_target
@@ -84,8 +84,7 @@ def test_phase_oracle_flips_only_matching_distance():
         circuit = phase_oracle(OracleSpec(delta, layout))
         for idx in (0, 1, 5, 64, 85, 170, 255):
             state = apply_circuit(basis_state(layout.total, idx), circuit)
-            _, _, dist = layout.split_index(idx)
-            sign = -1.0 if dist == delta else 1.0
+            sign = -1.0 if idx >> (2 * layout.n) == delta else 1.0
             assert np.isclose(state.amplitudes[idx], sign), (delta, idx)
 
 
@@ -110,7 +109,8 @@ def test_zero_reflection_signs():
 
 @pytest.mark.parametrize("calibrated", [False, True])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-@settings(max_examples=3, deadline=None)
+# no shrink phase: shrinking a failing 15-qubit example takes minutes
+@settings(max_examples=3, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(instance_seed=st.integers(0, 2**32 - 1), requested=st.floats(0.0, 1.0, exclude_min=True))
 def test_search_states_bit_identical_to_reference_reflections(
     n, calibrated, instance_seed, requested

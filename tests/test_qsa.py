@@ -1,17 +1,29 @@
 """Iterative search driver: acceptance rule, accuracy score, result records."""
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from qsalign.experiments import calibrated_loader, random_database, random_target
+from qsalign.grover import OracleSpec, search_circuit
 from qsalign.qsa import (
     QsaConfig,
     accuracy,
     classical_min_hamming,
     count_matches,
+    ideal_distribution,
     result_record,
     run_qsa,
 )
-from qsalign.registers import Database, TargetSequence, exact_loader, hamming
-from qsalign.simcore import Statevector, zero_state
+from qsalign.registers import (
+    Database,
+    RegisterLayout,
+    TargetSequence,
+    exact_loader,
+    hamming,
+    initialisation_unitary,
+)
+from qsalign.simcore import run_circuit
 
 
 def test_config_validation():
@@ -45,16 +57,15 @@ def test_count_matches():
 
 
 def test_accuracy_frozen_example():
-    # uniform counts against a one-hot ideal vector in dimension 4:
-    # cosine of (1/2,1/2,1/2,1/2) with (1,0,0,0) is exactly 1/2
-    ideal = Statevector(2, np.array([1, 0, 0, 0], dtype=complex))
+    # uniform counts against a one-hot ideal in dimension 4: cosine of
+    # (1/2,1/2,1/2,1/2) with (1,0,0,0) is exactly 1/2
+    ideal = {"00": 1.0}
     counts = {"00": 25, "01": 25, "10": 25, "11": 25}
     assert np.isclose(accuracy(counts, ideal), 0.5)
 
 
 def test_accuracy_perfect_and_scale_invariant():
-    amps = np.sqrt(np.array([0.5, 0.25, 0.25, 0.0]))
-    ideal = Statevector(2, amps.astype(complex))
+    ideal = {"00": 0.5, "01": 0.25, "10": 0.25}
     counts = {"00": 2000, "01": 1000, "10": 1000}
     assert np.isclose(accuracy(counts, ideal), 1.0)
     scaled = {k: v * 7 for k, v in counts.items()}
@@ -62,13 +73,73 @@ def test_accuracy_perfect_and_scale_invariant():
 
 
 def test_accuracy_validation():
-    ideal = zero_state(2)
+    ideal = {"00": 1.0}
     with pytest.raises(ValueError):
         accuracy({}, ideal)
     with pytest.raises(ValueError):
         accuracy({"000": 5}, ideal)
     with pytest.raises(ValueError):
         accuracy({"00": 0}, ideal)
+
+
+def _assert_ideal_matches_gate_level(db, target):
+    # every delta, attempted or not, and p = 0..4 against the full search
+    # circuit on an exact loader
+    layout = RegisterLayout(db.n)
+    prep = initialisation_unitary(exact_loader(db), target, layout)
+    for delta in range(db.n + 1):
+        for p in range(5):
+            probs = run_circuit(search_circuit(prep, OracleSpec(delta, layout), p)).probabilities()
+            ideal = ideal_distribution(db, target, delta, p)
+            assert len(ideal) == db.size
+            support = np.zeros(probs.size, dtype=bool)
+            for outcome, prob in ideal.items():
+                support[int(outcome, 2)] = True
+                assert abs(probs[int(outcome, 2)] - prob) <= 1e-12, (delta, p, outcome)
+            assert probs[~support].sum() <= 1e-12, (delta, p)
+
+
+# no shrink phase: shrinking a failing 15-qubit example takes minutes
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@settings(max_examples=5, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(instance_seed=st.integers(0, 2**32 - 1))
+def test_ideal_distribution_matches_gate_level_search(n, instance_seed):
+    db = random_database(n, "floor", [instance_seed, 0])
+    target = random_target(n, [instance_seed, 1])
+    _assert_ideal_matches_gate_level(db, target)
+
+
+def test_ideal_distribution_with_no_and_all_branches_marked():
+    # every entry sits at distance 2: delta = 2 marks all three branches,
+    # and any other delta marks none, so every branch keeps 1/3
+    db = Database(3, ("011", "101", "110"))
+    target = TargetSequence("000")
+    _assert_ideal_matches_gate_level(db, target)
+    assert set(ideal_distribution(db, target, 1, 3).values()) == {1 / 3}
+    assert sum(ideal_distribution(db, target, 2, 3).values()) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_run_qsa_accuracy_matches_dense_gate_level_reference():
+    # the score the driver reports equals the cosine against the dense
+    # statevector of the same search on an exact loader
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 5):
+        for trial in range(6):
+            db = random_database(n, "floor", rng)
+            target = random_target(n, rng)
+            requested = (1.0, 0.9, 0.6, 0.3)[trial % 4]
+            loader = calibrated_loader(db, requested, int(rng.integers(2**31)))
+            config = QsaConfig(rng_seed=int(rng.integers(2**31)), blind=trial >= 3)
+            result = run_qsa(loader, db, target, config)
+            layout = RegisterLayout(n)
+            prep = initialisation_unitary(exact_loader(db), target, layout)
+            spec = OracleSpec(result.delta_trace[-1], layout)
+            v = run_circuit(search_circuit(prep, spec, result.layers_used)).probabilities()
+            u = np.zeros_like(v)
+            for outcome, count in result.counts.items():
+                u[int(outcome, 2)] = count
+            expected = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+            assert abs(result.accuracy - expected) <= 1e-12, (n, trial)
 
 
 def test_run_qsa_exact_match():
@@ -137,6 +208,23 @@ def test_distance_never_beats_classical_minimum():
         assert result.match in db.entries
         assert hamming(result.match, target.bits) == result.distance
         assert result.distance >= d_min
+
+
+@pytest.mark.parametrize("blind", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@settings(max_examples=8, deadline=None)
+@given(instance_seed=st.integers(0, 2**32 - 1), requested=st.floats(0.0, 1.0, exclude_min=True))
+def test_match_is_an_entry_at_its_distance(n, blind, instance_seed, requested):
+    # a noisy loader puts weight on non-entries, and blind mode probes
+    # distances below the minimum, so the top outcome must be checked
+    db = random_database(n, "floor", [instance_seed, 0])
+    target = random_target(n, [instance_seed, 1])
+    d_min, _ = classical_min_hamming(db, target)
+    loader = calibrated_loader(db, requested, instance_seed)
+    result = run_qsa(loader, db, target, QsaConfig(rng_seed=instance_seed, blind=blind))
+    assert result.match in db.entries
+    assert result.distance == hamming(result.match, target.bits)
+    assert result.distance >= d_min
 
 
 def test_degraded_fallback_is_flagged_and_sound():

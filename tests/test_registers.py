@@ -18,7 +18,6 @@ from qsalign.registers import (
     initialisation_unitary,
     popcount_operator,
     state_preparation_circuit,
-    subsequence_windows,
     target_loader,
 )
 from qsalign.simcore import (
@@ -50,15 +49,6 @@ def test_encode_sequence():
     # three letters still need two bits each
     abc = Alphabet(("a", "b", "c"))
     assert encode_sequence("cab", abc) == "100001"
-
-
-def test_subsequence_windows():
-    assert subsequence_windows("ATGCA", 3) == ["ATG", "TGC", "GCA"]
-    assert subsequence_windows("AT", 2) == ["AT"]
-    with pytest.raises(ValueError):
-        subsequence_windows("AT", 0)
-    with pytest.raises(ValueError):
-        subsequence_windows("AT", 3)
 
 
 def test_database_validation():
@@ -120,7 +110,7 @@ def test_pack_split_roundtrip():
         for s in range(8):
             for hv in range(4):
                 idx = layout.pack_index(d, s, hv)
-                assert layout.split_index(idx) == (d, s, hv)
+                assert (idx & 7, (idx >> 3) & 7, idx >> 6) == (d, s, hv)
     assert layout.pack_index(5, 2, 1) == 5 | (2 << 3) | (1 << 6)
 
 
