@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import Circuit, Gate, Statevector, cnot, fidelity, run_circuit, run_sequences, rx, ry, rz
+from .simcore import Circuit, Gate, Statevector, cnot, fidelity, run_circuit, run_sequences
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +25,13 @@ logger = logging.getLogger(__name__)
 MAX_QUBITS = 8
 
 _ROTATIONS = ("RX", "RY", "RZ")
-_GATE_BUILDERS = {"RX": rx, "RY": ry, "RZ": rz}
+# every gene a synthesis draws comes from these tables, built once: a
+# rotation is its template re-angled by Gate.with_angle, which skips the
+# constructor's validation, and a CNOT is immutable, so genomes share it
+_ROTATION_TEMPLATES = {
+    (kind, q): Gate(kind, (q,), (), 0.0) for kind in _ROTATIONS for q in range(MAX_QUBITS)
+}
+_CNOTS = {(c, t): cnot(c, t) for c in range(MAX_QUBITS) for t in range(MAX_QUBITS) if c != t}
 
 
 @dataclass
@@ -98,6 +104,10 @@ def genome_circuit(genome: Genome, num_qubits: int) -> Circuit:
     return Circuit(num_qubits, tuple(genome.genes))
 
 
+def _random_rotation(rng: np.random.Generator, kind: str, qubit: int) -> Gate:
+    return _ROTATION_TEMPLATES[kind, qubit].with_angle(float(rng.uniform(0, 2 * math.pi)))
+
+
 def _random_gene(rng: np.random.Generator, num_qubits: int) -> Gate:
     kinds = _ROTATIONS + (("CNOT",) if num_qubits >= 2 else ())
     kind = kinds[rng.integers(len(kinds))]
@@ -106,9 +116,8 @@ def _random_gene(rng: np.random.Generator, num_qubits: int) -> Gate:
         target = int(rng.integers(num_qubits - 1))
         if target >= control:
             target += 1
-        return cnot(control, target)
-    qubit = int(rng.integers(num_qubits))
-    return _GATE_BUILDERS[kind](qubit, float(rng.uniform(0, 2 * math.pi)))
+        return _CNOTS[control, target]
+    return _random_rotation(rng, kind, int(rng.integers(num_qubits)))
 
 
 def _layered_genome(rng: np.random.Generator, num_qubits: int, max_genes: int) -> Genome:
@@ -117,10 +126,10 @@ def _layered_genome(rng: np.random.Generator, num_qubits: int, max_genes: int) -
     genes: list[Gate] = []
     for _ in range(int(rng.integers(1, 4))):
         for q in range(num_qubits):
-            genes.append(ry(q, float(rng.uniform(0, 2 * math.pi))))
-            genes.append(rz(q, float(rng.uniform(0, 2 * math.pi))))
+            genes.append(_random_rotation(rng, "RY", q))
+            genes.append(_random_rotation(rng, "RZ", q))
         for q in range(num_qubits - 1):
-            genes.append(cnot(q, q + 1))
+            genes.append(_CNOTS[q, q + 1])
     return Genome(genes[:max_genes])
 
 
@@ -142,10 +151,18 @@ def _score(genomes: list[Genome], target: Statevector) -> None:
         genome.fitness = fidelity(Statevector(n, amplitudes), target)
 
 
-def _tournament(rng: np.random.Generator, population: list[Genome], k: int = 5) -> Genome:
-    picks = rng.integers(len(population), size=k)
-    best = min(picks, key=lambda i: (-population[i].fitness, i))
-    return population[best]
+def _pick_parents(
+    rng: np.random.Generator, population: list[Genome], rank: list[int], k: int = 5
+) -> tuple[Genome, Genome]:
+    """Two tournament winners, each the fittest of k uniform picks.
+
+    rank[i] is genome i's place in fitness order. One call draws both
+    tournaments' picks: numpy fills a bounded-integer array one draw after
+    another, so this takes the same numbers as two calls of k each.
+    """
+    picks = rng.integers(len(population), size=2 * k).tolist()
+    first, second = min(picks[:k], key=rank.__getitem__), min(picks[k:], key=rank.__getitem__)
+    return population[first], population[second]
 
 
 def _crossover(rng: np.random.Generator, a: Genome, b: Genome, max_genes: int):
@@ -158,19 +175,22 @@ def _crossover(rng: np.random.Generator, a: Genome, b: Genome, max_genes: int):
 
 def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int, config: GaConfig):
     genes = genome.genes
+    rate = config.mutation_rate
+    random = rng.random
     # angle polish is gentle, so it may run per gene; the destructive moves
     # (angle resample, whole-gene swap) fire at most once per genome each,
-    # otherwise tuned parents rarely produce viable children
+    # otherwise tuned parents rarely produce viable children; of the genes,
+    # only rotations carry an angle
     for i, gene in enumerate(genes):
-        if gene.kind in _ROTATIONS and rng.random() < config.mutation_rate:
+        if gene.angle is not None and random() < rate:
             genes[i] = gene.with_angle(gene.angle + float(rng.normal(0.0, 0.1)))
-    if genes and rng.random() < config.mutation_rate:
+    if genes and random() < rate:
         i = int(rng.integers(len(genes)))
         if genes[i].kind in _ROTATIONS:
             genes[i] = genes[i].with_angle(float(rng.uniform(0, 2 * math.pi)))
-    if genes and rng.random() < config.mutation_rate:
+    if genes and random() < rate:
         genes[int(rng.integers(len(genes)))] = _random_gene(rng, num_qubits)
-    if len(genes) < config.max_genes and rng.random() < config.mutation_rate:
+    if len(genes) < config.max_genes and random() < rate:
         # grow structure without a fitness cliff: rotations enter near the
         # identity, CNOTs enter as an adjacent cancelling pair that later
         # mutations can pull apart
@@ -182,7 +202,7 @@ def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int, config: G
                 genes.insert(position, gene)
         else:
             genes.insert(position, gene.with_angle(float(rng.normal(0.0, 0.1))))
-    if genes and rng.random() < config.mutation_rate:
+    if genes and random() < rate:
         del genes[int(rng.integers(len(genes)))]
 
 
@@ -240,10 +260,12 @@ def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResu
             stagnant = 0
             continue
         survivors = [population[i] for i in order[: config.elitism_count]]
+        rank = [0] * len(order)
+        for place, i in enumerate(order):
+            rank[i] = place
         children: list[Genome] = []
         while len(survivors) + len(children) < config.population_size:
-            a = _tournament(rng, population)
-            b = _tournament(rng, population)
+            a, b = _pick_parents(rng, population, rank)
             if rng.random() < config.crossover_rate:
                 c1, c2 = _crossover(rng, a, b, config.max_genes)
             else:

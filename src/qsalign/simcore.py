@@ -14,7 +14,9 @@ concurrently without coordination.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from math import cos, sin
 
 import numpy as np
@@ -27,6 +29,7 @@ _X_LIKE = frozenset({"X", "CNOT", "MCX"})
 _Z_LIKE = frozenset({"Z", "MCZ"})
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
+_PACK_SELECT = struct.Struct("4q").pack
 _WHOLE_AXIS = slice(None)
 
 
@@ -56,8 +59,10 @@ class Gate:
 
     Construction also fixes what applying the gate needs, none of it
     compared: the read-only 2x2 ``matrix`` on the target, the highest
-    qubit touched (``max_qubit``), and the index of the target's 0-half
-    and 1-half in a (2,)*q tensor view of the amplitudes.
+    qubit touched (``max_qubit``), the index of the target's 0-half and
+    1-half in a (2,)*q tensor view of the amplitudes, and the packed
+    (target, max_qubit, control mask, control value) that
+    ``run_sequences`` reads.
     """
 
     kind: str
@@ -67,6 +72,7 @@ class Gate:
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
     max_qubit: int = field(init=False, repr=False, compare=False)
     _halves: tuple[tuple, tuple] = field(init=False, repr=False, compare=False)
+    _select: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = self.kind
@@ -100,6 +106,14 @@ class Gate:
         index[axis] = 0
         half0 = (Ellipsis, *index)
         index[axis] = 1
+        # a basis index meets the controls when (index & mask) == value;
+        # no register run_sequences can allocate reaches qubit 63, so a gate
+        # that does keeps mask = value = 0 and fails its range check on top
+        mask = value = 0
+        if top < 63:
+            for q, pol in controls:
+                mask |= 1 << q
+                value |= pol << q
         # one write for every field: the class is frozen, and this runs for
         # each gate a synthesis mutation or a circuit inversion creates
         vars(self).update(
@@ -109,6 +123,7 @@ class Gate:
             matrix=_gate_matrix(kind, angle),
             max_qubit=top,
             _halves=(half0, (Ellipsis, *index)),
+            _select=_PACK_SELECT(targets[0], top, mask, value),
         )
 
     def __reduce__(self):
@@ -130,12 +145,15 @@ class Gate:
             raise ValueError(f"{self.kind} does not take an angle")
         angle = float(angle)
         gate = object.__new__(Gate)
-        vars(gate).update(vars(self), angle=angle, matrix=_gate_matrix(self.kind, angle))
+        fields = vars(gate)
+        fields.update(vars(self))
+        fields["angle"] = angle
+        fields["matrix"] = _gate_matrix(self.kind, angle)
         return gate
 
     def inverse(self) -> "Gate":
         if self.kind in ROTATION_KINDS:
-            return Gate(self.kind, self.targets, self.controls, -self.angle)
+            return self.with_angle(-self.angle)
         return self  # X/H/Z/CNOT/MCX/MCZ are self-inverse
 
 
@@ -258,16 +276,23 @@ def index_to_bits(index: int, num_qubits: int) -> str:
     return format(index, f"0{num_qubits}b")
 
 
-def _frozen(rows) -> np.ndarray:
-    matrix = np.array(rows, dtype=np.complex128)
-    matrix.flags.writeable = False
-    return matrix
+_PACK_2X2 = struct.Struct("8d").pack
+
+
+def _frozen(parts) -> np.ndarray:
+    """A 2x2 complex128 matrix from its row-major (real, imag) parts.
+
+    The array is a view of immutable bytes, so it is read-only for good.
+    A real entry takes imaginary part +0.0, as numpy's conversion of a
+    float does.
+    """
+    return np.ndarray((2, 2), np.complex128, _PACK_2X2(*parts))
 
 
 _FIXED_MATRICES = {
-    "H": _frozen([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]]),
-    **dict.fromkeys(_X_LIKE, _frozen([[0, 1], [1, 0]])),
-    **dict.fromkeys(_Z_LIKE, _frozen([[1, 0], [0, -1]])),
+    "H": _frozen((_SQRT2_INV, 0.0, _SQRT2_INV, 0.0, _SQRT2_INV, 0.0, -_SQRT2_INV, 0.0)),
+    **dict.fromkeys(_X_LIKE, _frozen((0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0))),
+    **dict.fromkeys(_Z_LIKE, _frozen((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0))),
 }
 
 
@@ -277,11 +302,13 @@ def _gate_matrix(kind: str, angle: float | None) -> np.ndarray:
         return fixed
     c, s = cos(angle / 2.0), sin(angle / 2.0)
     if kind == "RX":
-        return _frozen([[c, -1j * s], [-1j * s, c]])
+        off = -1j * s
+        return _frozen((c, 0.0, off.real, off.imag, off.real, off.imag, c, 0.0))
     if kind == "RY":
-        return _frozen([[c, -s], [s, c]])
+        return _frozen((c, 0.0, -s, 0.0, s, 0.0, c, 0.0))
     # RZ
-    return _frozen([[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]])
+    u00, u11 = np.exp(-0.5j * angle), np.exp(0.5j * angle)
+    return _frozen((u00.real, u00.imag, 0.0, 0.0, 0.0, 0.0, u11.real, u11.imag))
 
 
 def _apply_gate_inplace(tensor: np.ndarray, gate: Gate) -> None:
@@ -340,7 +367,9 @@ def run_sequences(num_qubits: int, sequences) -> np.ndarray:
     """Apply each of P gate sequences to |0...0>, all in one lockstep pass.
 
     Returns a (P, 2^num_qubits) array whose row i equals, element for
-    element, ``run_circuit`` on sequence i. Step j applies every row's
+    element, ``run_circuit`` on sequence i; only a zero's sign can differ,
+    since X- and Z-like gates go through their matrices here rather than
+    a swap or a negation. Step j applies every row's
     j-th gate at once: each row gathers the 0-half ``a`` and 1-half ``b``
     of its target's pairs and takes ``u00*a + u01*b`` and ``u10*a + u11*b``,
     the single-state kernel's elementwise arithmetic, with the row's
@@ -359,26 +388,17 @@ def run_sequences(num_qubits: int, sequences) -> np.ndarray:
     depth = int(lengths.max(initial=0))
     if depth == 0:
         return states
-    flat = [gate for seq in sequences for gate in seq]
+    flat = list(chain.from_iterable(sequences))
 
-    # control masks per distinct controls tuple, computed for this call only
-    code_of: dict[tuple, int] = {}
-    codes = [code_of.setdefault(gate.controls, len(code_of)) for gate in flat]
-    control_bits = np.zeros((len(code_of), 2), dtype=np.intp)
-    for controls, code in code_of.items():
-        for q, pol in controls:
-            control_bits[code] += (1 << q, pol << q)
-    mask, value = control_bits.T
-    target = np.array([gate.targets[0] for gate in flat], dtype=np.intp)
-    if target.max() >= num_qubits or mask.max() >= dim:
+    selects = np.frombuffer(b"".join([gate._select for gate in flat]), np.int64)
+    target, top, mask, value = selects.reshape(-1, 4).T
+    if top.max() >= num_qubits:
         _raise_out_of_range(next(g for g in flat if g.max_qubit >= num_qubits), num_qubits)
 
     # pairs[t, h]: the basis indices whose bit t is h, ascending
     half = np.arange(dim >> 1)
     zero = np.array([(half >> t << (t + 1)) | (half & ((1 << t) - 1)) for t in range(num_qubits)])
     pairs = np.stack([zero, zero | (1 << np.arange(num_qubits))[:, None]], axis=1)
-    # meets[code, t]: which pairs of target t satisfy the controls numbered code
-    meets = (zero & mask[:, None, None]) == value[:, None, None]
 
     # (P, depth) grids, row-major, so a boolean assignment walks the
     # flattened sequences in order; the padding after a sequence ends
@@ -387,9 +407,13 @@ def run_sequences(num_qubits: int, sequences) -> np.ndarray:
     target_grid = np.zeros((count, depth), dtype=np.intp)
     target_grid[live] = target
     met = np.zeros((count, depth, dim >> 1), dtype=bool)
-    met[live] = meets[codes, target]
+    met[live] = (zero[target] & mask[:, None]) == value[:, None]
     coef = np.zeros((count, depth, 2, 2), dtype=np.complex128)
-    coef[live] = np.concatenate([gate.matrix for gate in flat]).reshape(-1, 2, 2)
+    # every gate's matrix is a C-contiguous 2x2 complex128 array, so joining
+    # their raw bytes copies them as np.concatenate would, without its
+    # per-array overhead
+    matrices = np.frombuffer(b"".join([gate.matrix for gate in flat]), np.complex128)
+    coef[live] = matrices.reshape(-1, 2, 2)
 
     # step-major from here: index[j, p, h] holds row p's basis indices with
     # its target bit equal to h at step j, columns[j, c] is column c of

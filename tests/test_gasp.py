@@ -62,6 +62,24 @@ def test_gasp_trajectory_pinned():
     assert (result.fidelity, result.generations) == (float.fromhex("0x1.fb1e8d71f7b03p-1"), 44)
 
 
+def test_gasp_trajectory_through_a_restart_pinned(monkeypatch):
+    # the pins above converge by generation 44 without ever restarting;
+    # this run stagnates once, so its fresh population of random genomes
+    # (99 at the start, then 100 more) is pinned with the rest
+    drawn = []
+
+    def counted(*args):
+        drawn.append(None)
+        return random_genome(*args)
+
+    random_genome = gasp._random_genome
+    monkeypatch.setattr(gasp, "_random_genome", counted)
+    floor_n4 = database_state(random_database(4, "floor", 3))
+    result = gasp_prepare(floor_n4, GaConfig(rng_seed=3, max_generations=100))
+    assert (result.fidelity, result.generations) == (float.fromhex("0x1.b2de12173390fp-1"), 100)
+    assert len(drawn) == 199
+
+
 def test_gasp_checks_batched_fitness_against_run_circuit(monkeypatch):
     bell = Statevector(2, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
 

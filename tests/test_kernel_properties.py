@@ -10,7 +10,7 @@ from math import cos, pi, sin
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsalign.simcore import (
@@ -106,13 +106,6 @@ def circuits(draw, max_qubits=10):
     return Circuit(num_qubits, tuple(gate_list))
 
 
-@st.composite
-def batches(draw):
-    num_qubits = draw(st.integers(1, 6))
-    sequence = st.lists(gates(num_qubits), max_size=20)
-    return num_qubits, draw(st.lists(sequence, min_size=1, max_size=8))
-
-
 _ANGLES = st.floats(-4 * pi, 4 * pi, allow_nan=False, allow_infinity=False) | st.integers(-12, 12)
 
 
@@ -161,15 +154,66 @@ def test_inputs_never_mutated_even_when_strided(circuit, seed, step):
     assert state.amplitudes is strided
 
 
-@settings(max_examples=300, deadline=None)
-@given(batches())
-def test_batched_runner_matches_run_circuit_exactly(batch):
-    num_qubits, sequences = batch
+def _check_batch(num_qubits, sequences):
     states = run_sequences(num_qubits, sequences)
     assert states.shape == (len(sequences), 1 << num_qubits)
     for row, sequence in zip(states, sequences):
         expected = run_circuit(Circuit(num_qubits, tuple(sequence))).amplitudes
         assert np.array_equal(row, expected)
+
+
+# the width is parametrised: drawn from 1..6 under the derandomised
+# profile, widths come up very unevenly
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_batched_runner_matches_run_circuit_exactly(num_qubits, data):
+    sequence = st.lists(gates(num_qubits), max_size=20)
+    _check_batch(num_qubits, data.draw(st.lists(sequence, min_size=1, max_size=8)))
+
+
+def test_batched_runner_matches_run_circuit_on_a_ga_shaped_batch():
+    # what the synthesis scores each generation: about a hundred ragged
+    # rotation/CNOT gene lists of up to 64 genes, children sharing gate
+    # objects with their parents and carrying re-angled rotations
+    rng = np.random.default_rng(9)
+    num_qubits = 4
+
+    def gene():
+        kind = ("RX", "RY", "RZ", "CNOT")[rng.integers(4)]
+        target, control = (int(q) for q in rng.permutation(num_qubits)[:2])
+        if kind == "CNOT":
+            return Gate(kind, (target,), ((control, 1),))
+        return Gate(kind, (target,), (), rng.uniform(0, 2 * pi))
+
+    def polish(g):
+        if g.angle is not None and rng.random() < 0.2:
+            return g.with_angle(g.angle + rng.normal(0, 0.1))
+        return g
+
+    parents = [[], [gene() for _ in range(64)]]
+    parents += [[gene() for _ in range(rng.integers(1, 65))] for _ in range(48)]
+    children = []
+    for _ in range(50):
+        a, b = (parents[i] for i in rng.integers(len(parents), size=2))
+        child = (a[: rng.integers(len(a) + 1)] + b[rng.integers(len(b) + 1) :])[:64]
+        children.append([polish(g) for g in child])
+    _check_batch(num_qubits, parents + children)
+
+
+@pytest.mark.parametrize("kind", sorted(ROTATION_KINDS))
+@settings(max_examples=100, deadline=None)
+@given(angle=_ANGLES)
+@example(angle=0.0)
+@example(angle=-0.0)
+@example(angle=4 * pi)
+@example(angle=-4 * pi)
+def test_rotation_matrix_bit_identical_to_reference(kind, angle):
+    # compared as raw bits: np.array_equal cannot see a flipped signed zero,
+    # such as -s * 1j written where the reference has -1j * s (real part
+    # -0.0 rather than +0.0 for s > 0 on CPython 3.11)
+    built = Gate(kind, (0,), (), angle).matrix
+    assert np.array_equal(built.view(np.uint64), _reference_rotation(kind, float(angle)).view(np.uint64))
 
 
 @settings(max_examples=200, deadline=None)
