@@ -71,7 +71,7 @@ def _read_lines(path: str) -> list[str]:
 def _load_alphabet(path: str | None) -> Alphabet | None:
     if path is None:
         return None
-    return Alphabet.from_text(Path(path).read_text())
+    return Alphabet(tuple(_read_lines(path)))
 
 
 def _load_database(path: str, alphabet: Alphabet | None) -> Database:

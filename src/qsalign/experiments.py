@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,56 +217,44 @@ def run_sweep_trial(
     """One sweep point: fresh instance, calibrated loader, full search.
 
     fast mode synthesizes the perturbed database state exactly; full mode
-    evolves its loader genetically (see calibrated_loader).
+    evolves its loader genetically (see calibrated_loader). Past the
+    instance draw, a failure comes back as the record's error with no
+    results, so one bad trial does not stop a sweep.
     """
     if mode not in ("fast", "full"):
         raise ValueError(f"unknown sweep mode {mode!r}")
     db, target, d_min = _instance(n, db_size_rule, trial_seed)
-    ga_config = GaConfig(rng_seed=sub_seed(trial_seed, 3)) if mode == "full" else None
-    loader = calibrated_loader(db, target_fidelity, sub_seed(trial_seed, 2), ga_config)
-    achieved = fidelity(database_state(db), run_circuit(loader))
-    result = run_qsa(
-        loader,
-        db,
-        target,
-        QsaConfig(shots=shots, layer_policy=layer_policy, rng_seed=sub_seed(trial_seed, 4)),
-    )
-    return SweepRecord(
+    record = SweepRecord(
         n=n,
         N=db.size,
         target_fidelity=target_fidelity,
-        achieved_fidelity=achieved,
+        achieved_fidelity=None,
         trial=trial,
-        accuracy=result.accuracy,
-        distance_found=result.distance,
+        accuracy=None,
+        distance_found=None,
         d_min_classical=d_min,
-        layers=result.layers_used,
+        layers=None,
         seed=trial_seed,
     )
-
-
-def _sweep_work_item(args: tuple) -> SweepRecord:
-    n, target_fidelity, trial_seed, trial, shots, rule, policy, mode = args
     try:
-        return run_sweep_trial(
-            n, target_fidelity, trial_seed, trial,
-            shots=shots, db_size_rule=rule, layer_policy=policy, mode=mode,
+        ga_config = GaConfig(rng_seed=sub_seed(trial_seed, 3)) if mode == "full" else None
+        loader = calibrated_loader(db, target_fidelity, sub_seed(trial_seed, 2), ga_config)
+        achieved = fidelity(database_state(db), run_circuit(loader))
+        result = run_qsa(
+            loader,
+            db,
+            target,
+            QsaConfig(shots=shots, layer_policy=layer_policy, rng_seed=sub_seed(trial_seed, 4)),
         )
     except Exception as exc:
-        db, _, d_min = _instance(n, rule, trial_seed)
-        return SweepRecord(
-            n=n,
-            N=db.size,
-            target_fidelity=target_fidelity,
-            achieved_fidelity=None,
-            trial=trial,
-            accuracy=None,
-            distance_found=None,
-            d_min_classical=d_min,
-            layers=None,
-            seed=trial_seed,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return replace(record, error=f"{type(exc).__name__}: {exc}")
+    return replace(
+        record,
+        achieved_fidelity=achieved,
+        accuracy=result.accuracy,
+        distance_found=result.distance,
+        layers=result.layers_used,
+    )
 
 
 def summarize(records: tuple[SweepRecord, ...] | list[SweepRecord]) -> tuple[SummaryRow, ...]:
@@ -294,7 +283,6 @@ def summarize(records: tuple[SweepRecord, ...] | list[SweepRecord]) -> tuple[Sum
 def fidelity_sweep(
     config: SweepConfig,
     mode: str = "fast",
-    out_dir: str | Path | None = None,
     jobs: int = 1,
     progress=None,
 ) -> SweepResult:
@@ -303,45 +291,46 @@ def fidelity_sweep(
     Every trial draws its own database, target, and perturbation from a
     seed derived from (master seed, n, fidelity index, trial), so results
     do not depend on execution order or worker count; records come back
-    sorted by that same key and reruns write byte-identical files.
+    sorted by that same key and reruns return identical records.
     """
     if mode not in ("fast", "full"):
         raise ValueError(f"unknown sweep mode {mode!r}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    items = []
-    for n in config.qubit_sizes:
-        for fidelity_index, target_fidelity in enumerate(config.fidelities):
-            for trial in range(config.trials_per_point):
-                seed = _trial_seed(config.seed, n, fidelity_index, trial)
-                items.append(
-                    (
-                        n, target_fidelity, seed, trial,
-                        config.shots, config.db_size_rule, config.layer_policy, mode,
-                    )
-                )
+    grid = [
+        (n, target_fidelity, _trial_seed(config.seed, n, fidelity_index, trial), trial)
+        for n in config.qubit_sizes
+        for fidelity_index, target_fidelity in enumerate(config.fidelities)
+        for trial in range(config.trials_per_point)
+    ]
+    # looked up here, not at import, so a wrapper around the module's
+    # run_sweep_trial sees every trial
+    trial_fn = functools.partial(
+        run_sweep_trial,
+        shots=config.shots,
+        db_size_rule=config.db_size_rule,
+        layer_policy=config.layer_policy,
+        mode=mode,
+    )
     records: list[SweepRecord] = []
     if jobs == 1:
-        for item in items:
-            records.append(_sweep_work_item(item))
+        for point in grid:
+            records.append(trial_fn(*point))
             if progress is not None:
-                progress(len(records), len(items), records[-1])
+                progress(len(records), len(grid), records[-1])
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for record in pool.map(_sweep_work_item, items, chunksize=4):
+            for record in pool.map(trial_fn, *zip(*grid), chunksize=4):
                 records.append(record)
                 if progress is not None:
-                    progress(len(records), len(items), record)
+                    progress(len(records), len(grid), record)
     for record in records:
         if record.error is not None:
             logger.warning(
                 "trial failed (n=%d fidelity=%.2f trial=%d): %s",
                 record.n, record.target_fidelity, record.trial, record.error,
             )
-    result = SweepResult(tuple(records), summarize(records))
-    if out_dir is not None:
-        write_sweep_files(result, out_dir)
-    return result
+    return SweepResult(tuple(records), summarize(records))
 
 
 def write_sweep_files(result: SweepResult, out_dir: str | Path) -> list[Path]:

@@ -51,26 +51,14 @@ class Genome:
 class GaConfig:
     population_size: int = 100
     max_generations: int = 200
-    crossover_rate: float = 0.7
-    mutation_rate: float = 0.2
-    elitism_count: int = 2
     fidelity_target: float = 0.99
-    max_genes: int = 64
     rng_seed: int | None = None
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if not 0 <= self.elitism_count < self.population_size:
-            raise ValueError("elitism_count must be < population_size")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must lie in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must lie in [0, 1]")
+        if self.population_size <= _ELITISM_COUNT:
+            raise ValueError(f"population_size must be > {_ELITISM_COUNT}, the elite count")
         if not 0.0 < self.fidelity_target <= 1.0:
             raise ValueError("fidelity_target must lie in (0, 1]")
-        if self.max_genes < 1:
-            raise ValueError("max_genes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -120,7 +108,7 @@ def _random_gene(rng: np.random.Generator, num_qubits: int) -> Gate:
     return _random_rotation(rng, kind, int(rng.integers(num_qubits)))
 
 
-def _layered_genome(rng: np.random.Generator, num_qubits: int, max_genes: int) -> Genome:
+def _layered_genome(rng: np.random.Generator, num_qubits: int) -> Genome:
     # rotation layer + CNOT chain, repeated: a generic preparation skeleton
     # whose angles the search then has to discover
     genes: list[Gate] = []
@@ -130,13 +118,13 @@ def _layered_genome(rng: np.random.Generator, num_qubits: int, max_genes: int) -
             genes.append(_random_rotation(rng, "RZ", q))
         for q in range(num_qubits - 1):
             genes.append(_CNOTS[q, q + 1])
-    return Genome(genes[:max_genes])
+    return Genome(genes[:_MAX_GENES])
 
 
-def _random_genome(rng: np.random.Generator, num_qubits: int, max_genes: int) -> Genome:
+def _random_genome(rng: np.random.Generator, num_qubits: int) -> Genome:
     if num_qubits >= 2 and rng.random() < 0.5:
-        return _layered_genome(rng, num_qubits, max_genes)
-    length = int(rng.integers(1, min(max_genes, 4 * num_qubits) + 1))
+        return _layered_genome(rng, num_qubits)
+    length = int(rng.integers(1, min(_MAX_GENES, 4 * num_qubits) + 1))
     return Genome([_random_gene(rng, num_qubits) for _ in range(length)])
 
 
@@ -165,17 +153,17 @@ def _pick_parents(
     return population[first], population[second]
 
 
-def _crossover(rng: np.random.Generator, a: Genome, b: Genome, max_genes: int):
+def _crossover(rng: np.random.Generator, a: Genome, b: Genome):
     ca = int(rng.integers(len(a.genes) + 1))
     cb = int(rng.integers(len(b.genes) + 1))
     child1 = a.genes[:ca] + b.genes[cb:]
     child2 = b.genes[:cb] + a.genes[ca:]
-    return Genome(child1[:max_genes]), Genome(child2[:max_genes])
+    return Genome(child1[:_MAX_GENES]), Genome(child2[:_MAX_GENES])
 
 
-def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int, config: GaConfig):
+def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int):
     genes = genome.genes
-    rate = config.mutation_rate
+    rate = _MUTATION_RATE
     random = rng.random
     # angle polish is gentle, so it may run per gene; the destructive moves
     # (angle resample, whole-gene swap) fire at most once per genome each,
@@ -190,14 +178,14 @@ def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int, config: G
             genes[i] = genes[i].with_angle(float(rng.uniform(0, 2 * math.pi)))
     if genes and random() < rate:
         genes[int(rng.integers(len(genes)))] = _random_gene(rng, num_qubits)
-    if len(genes) < config.max_genes and random() < rate:
+    if len(genes) < _MAX_GENES and random() < rate:
         # grow structure without a fitness cliff: rotations enter near the
         # identity, CNOTs enter as an adjacent cancelling pair that later
         # mutations can pull apart
         position = int(rng.integers(len(genes) + 1))
         gene = _random_gene(rng, num_qubits)
         if gene.kind == "CNOT":
-            if len(genes) + 2 <= config.max_genes:
+            if len(genes) + 2 <= _MAX_GENES:
                 genes.insert(position, gene)
                 genes.insert(position, gene)
         else:
@@ -206,6 +194,12 @@ def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int, config: G
         del genes[int(rng.integers(len(genes)))]
 
 
+# fixed search settings: crossover and mutation chances per child, genomes
+# carried over unchanged per generation, and the genome length cap
+_CROSSOVER_RATE = 0.7
+_MUTATION_RATE = 0.2
+_ELITISM_COUNT = 2
+_MAX_GENES = 64
 _STAGNATION_LIMIT = 20
 _STAGNATION_GAIN = 2e-3
 
@@ -231,7 +225,7 @@ def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResu
 
     population = [Genome([])]
     while len(population) < config.population_size:
-        population.append(_random_genome(rng, n, config.max_genes))
+        population.append(_random_genome(rng, n))
     _score(population, target)
 
     best = max(population, key=lambda g: g.fitness)
@@ -252,27 +246,27 @@ def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResu
             break
         generations = generation
         if stagnant >= _STAGNATION_LIMIT:
-            population = [_random_genome(rng, n, config.max_genes) for _ in range(config.population_size)]
+            population = [_random_genome(rng, n) for _ in range(config.population_size)]
             _score(population, target)
             # re-anchor below any fitness so the fresh climb is not judged
             # against the archived best it has yet to catch up with
             anchor = -1.0
             stagnant = 0
             continue
-        survivors = [population[i] for i in order[: config.elitism_count]]
+        survivors = [population[i] for i in order[:_ELITISM_COUNT]]
         rank = [0] * len(order)
         for place, i in enumerate(order):
             rank[i] = place
         children: list[Genome] = []
         while len(survivors) + len(children) < config.population_size:
             a, b = _pick_parents(rng, population, rank)
-            if rng.random() < config.crossover_rate:
-                c1, c2 = _crossover(rng, a, b, config.max_genes)
+            if rng.random() < _CROSSOVER_RATE:
+                c1, c2 = _crossover(rng, a, b)
             else:
                 c1, c2 = Genome(list(a.genes)), Genome(list(b.genes))
             for child in (c1, c2):
                 if len(survivors) + len(children) < config.population_size:
-                    _mutate(rng, child, n, config)
+                    _mutate(rng, child, n)
                     children.append(child)
         # scoring draws no random numbers, so a generation's children are
         # all bred first and then simulated together

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .registers import RegisterLayout
 from .simcore import Circuit, Statevector, concat, invert, mcz, x
 
@@ -108,14 +106,18 @@ def search_circuit(prep: Circuit, spec: OracleSpec, layers: int) -> Circuit:
 
 
 def marked_probability(state: Statevector, layout: RegisterLayout, delta: int) -> float:
-    """Summed probability over basis states whose distance register is delta."""
+    """Summed probability over basis states whose distance register is delta.
+
+    The distance register holds the top bits of the index, so those states
+    are one contiguous block of 2^(2n) probabilities.
+    """
     if state.num_qubits != layout.total:
         raise ValueError(
             f"state spans {state.num_qubits} qubits, layout has {layout.total}"
         )
-    indices = np.arange(1 << layout.total)
-    mask = (indices >> (2 * layout.n)) == delta
-    return float(state.probabilities()[mask].sum())
+    if not 0 <= delta <= layout.n:
+        raise ValueError(f"probe distance {delta} outside [0, {layout.n}]")
+    return float(state.probabilities().reshape(-1, 1 << (2 * layout.n))[delta].sum())
 
 
 def success_probability(p: int, database_size: int, matches: int) -> float:

@@ -2,15 +2,18 @@
 
 The driver walks probe distances delta = 0, 1, ..., n, amplifies the
 branches at each attempted delta, samples the full register, and accepts
-the data-register value of the most frequent outcome once it is a database
-entry at classical Hamming distance delta from the target, so every match
-is an entry at its reported distance. Accuracy is scored against the
-closed-form output of the same search on an exact loader.
+the data-register value of the most frequent sampled outcome that is a
+database entry at classical Hamming distance delta from the target, so
+every match is an entry at its reported distance. The entries' distances
+are computed once per search, so every classical fact after that is a
+lookup. Accuracy is scored against the closed-form output of the same
+search on an exact loader.
 """
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,12 +121,6 @@ def accuracy(counts: dict[str, int], ideal: dict[str, float]) -> float:
     return dot / (math.hypot(*counts.values()) * math.hypot(*ideal.values()))
 
 
-def _top_outcome(counts: dict[str, int]) -> str:
-    """Most frequent outcome; ties broken toward the smallest bit string."""
-    best = max(counts.values())
-    return min(o for o, c in counts.items() if c == best)
-
-
 def run_qsa(
     db_loader: Circuit,
     db: Database,
@@ -132,11 +129,15 @@ def run_qsa(
 ) -> QsaResult:
     """Search for the database entry nearest the target.
 
-    Probes delta in increasing order, skipping values with zero classical
-    matches unless config.blind, and accepts the first candidate that is a
-    database entry at distance delta. If every probe is exhausted the
-    result is flagged degraded and carries the best database entry observed
-    in any sample (the nearest entry overall if none was ever observed).
+    One table of every entry's distance to the target gives the match
+    count at each delta, whether a sampled outcome is an entry, and its
+    distance. Probes delta in increasing order, skipping values with zero
+    classical matches unless config.blind. An attempt accepts the most
+    frequent of its sampled outcomes whose data bits are an entry at
+    distance delta, ties going to the first in outcome order. If every
+    probe is exhausted the result is flagged degraded and carries the first
+    nearest entry observed in any sample (the nearest entry overall if none
+    was ever observed).
 
     Accuracy compares the final attempt's histogram with
     ``ideal_distribution``, so preparation infidelity lowers it.
@@ -145,19 +146,16 @@ def run_qsa(
     seed_root = np.random.SeedSequence(config.rng_seed)
     # refuses a loader or target of another width before any simulation
     prep = initialisation_unitary(db_loader, target, layout)
-    entry_set = set(db.entries)
+    distance = {e: hamming(e, target.bits) for e in db.entries}
+    matches = Counter(distance.values())
 
     delta_trace: list[int] = []
     best_entry: str | None = None
-    best_entry_distance = db.n + 1
-    last_counts: dict[str, int] = {}
-    last_layers = 0
-    last_delta = 0
 
-    def finish(match, distance, layers, delta, counts, degraded):
+    def finish(match, degraded):
         return QsaResult(
             match=match,
-            distance=distance,
+            distance=distance[match],
             layers_used=layers,
             delta_trace=tuple(delta_trace),
             counts=counts,
@@ -165,40 +163,35 @@ def run_qsa(
             degraded=degraded,
         )
 
-    for delta in range(db.n + 1):
+    for delta in range(db.n + 1) if config.blind else sorted(matches):
         if config.blind:
             layers = 1
         else:
-            c = count_matches(db, target, delta)
-            if c == 0:
-                continue
-            layers = make_plan(db.size, c, config.layer_policy).layers
+            layers = make_plan(db.size, matches[delta], config.layer_policy).layers
         final = run_circuit(search_circuit(prep, OracleSpec(delta, layout), layers))
         for _ in range(config.repeats):
             delta_trace.append(delta)
             counts = sample_counts(final, config.shots, seed_root.spawn(1)[0])
-            last_counts, last_layers, last_delta = counts, layers, delta
-            candidate = layout.data_bits(_top_outcome(counts))
-            for outcome in counts:
+            hit = None
+            for outcome, count in counts.items():
                 seen = layout.data_bits(outcome)
-                if seen in entry_set:
-                    d_seen = hamming(seen, target.bits)
-                    if d_seen < best_entry_distance:
-                        best_entry, best_entry_distance = seen, d_seen
-            if candidate in entry_set and hamming(candidate, target.bits) == delta:
-                return finish(candidate, delta, layers, delta, counts, degraded=False)
+                if seen not in distance:
+                    continue
+                if distance[seen] == delta and (hit is None or count > counts[hit]):
+                    hit = outcome
+                if best_entry is None or distance[seen] < distance[best_entry]:
+                    best_entry = seen
+            if hit is not None:
+                return finish(layout.data_bits(hit), degraded=False)
         logger.debug("no acceptance at delta=%d after %d attempts", delta, config.repeats)
 
     if best_entry is None:
-        best_entry = min(db.entries, key=lambda e: (hamming(e, target.bits), e))
-        best_entry_distance = hamming(best_entry, target.bits)
+        best_entry = min(db.entries, key=lambda e: (distance[e], e))
     logger.warning(
         "probe distances exhausted; returning best observed entry at distance %d",
-        best_entry_distance,
+        distance[best_entry],
     )
-    return finish(
-        best_entry, best_entry_distance, last_layers, last_delta, last_counts, degraded=True
-    )
+    return finish(best_entry, degraded=True)
 
 
 def result_record(

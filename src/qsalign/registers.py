@@ -61,11 +61,6 @@ class Alphabet:
             raise ValueError(f"symbol {letter!r} not in alphabet {self.letters}") from None
         return format(i, f"0{self.bits_per_letter}b")
 
-    @classmethod
-    def from_text(cls, text: str) -> "Alphabet":
-        """One symbol per line."""
-        return cls(tuple(ln.strip() for ln in text.splitlines() if ln.strip()))
-
 
 DNA = Alphabet(("A", "T", "G", "C"))
 

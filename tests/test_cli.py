@@ -76,6 +76,20 @@ def test_run_alphabet_encoding(tmp_path, capsys):
     assert record["n"] == 4
 
 
+def test_alphabet_file_skips_comment_lines(tmp_path, capsys):
+    # alphabet files follow the database format: blank and '#' lines are
+    # skipped, so a header adds no letter and widens no code
+    db = _write(tmp_path / "dna.txt", "GAT\nGCA\nTAC\nCTG\n")
+    plain = _write(tmp_path / "plain.txt", "A\nC\nG\nT\n")
+    commented = _write(tmp_path / "commented.txt", "# nucleotides\nA\nC\n\nG\nT\n")
+    assert cli._load_alphabet(commented).letters == ("A", "C", "G", "T")
+    argv = ["run", "--db", db, "--target", "GAA", "--layer-policy", "best", "--alphabet"]
+    assert main(argv + [plain]) == 0
+    expected = capsys.readouterr().out
+    assert main(argv + [commented]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_run_usage_errors(db3, tmp_path, capsys):
     # width mismatch
     assert main(["run", "--db", db3, "--target", "10"]) == 1
@@ -108,9 +122,10 @@ def test_bad_flags_exit_1(db3):
 
 def test_run_strict_degraded_exits_2(tmp_path, capsys):
     # c=2 at the minimum distance makes the paper layer count overshoot
-    # badly here, so every probe misses and the run degrades
+    # badly here, so the single shot of each probe misses its entries at
+    # that distance and the run degrades
     db = _write(tmp_path / "db.txt", "000\n011\n101\n")
-    argv = ["run", "--db", db, "--target", "111", "--seed", "0"]
+    argv = ["run", "--db", db, "--target", "111", "--seed", "0", "--shots", "1"]
     assert main(argv) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["degraded"] is True

@@ -24,18 +24,13 @@ from qsalign.simcore import Statevector, cnot, fidelity, run_circuit, ry, rz, ze
 
 def test_config_validation():
     GaConfig()
-    with pytest.raises(ValueError):
-        GaConfig(population_size=0)
-    with pytest.raises(ValueError):
-        GaConfig(crossover_rate=1.5)
-    with pytest.raises(ValueError):
-        GaConfig(mutation_rate=-0.1)
+    # a population must hold the two elites and at least one child
+    GaConfig(population_size=3)
+    for size in (0, 2):
+        with pytest.raises(ValueError):
+            GaConfig(population_size=size)
     with pytest.raises(ValueError):
         GaConfig(fidelity_target=0.0)
-    with pytest.raises(ValueError):
-        GaConfig(elitism_count=-1)
-    with pytest.raises(ValueError):
-        GaConfig(max_genes=0)
 
 
 def test_genome_circuit_mapping():

@@ -263,6 +263,11 @@ def test_marked_probability_hand_state():
     assert np.isclose(marked_probability(state, layout, 1), 0.25)
     assert np.isclose(marked_probability(state, layout, 2), 0.75)
     assert np.isclose(marked_probability(state, layout, 0), 0.0)
+    # the distance register is a row index, which a negative delta would
+    # count from the end
+    for delta in (-1, 4):
+        with pytest.raises(ValueError):
+            marked_probability(state, layout, delta)
 
 
 def test_layers_track_closed_form():

@@ -5,7 +5,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qsalign.experiments import calibrated_loader, random_database, random_target
-from qsalign.grover import OracleSpec, search_circuit
+from qsalign.grover import OracleSpec, make_plan, search_circuit, success_probability
 from qsalign.qsa import (
     QsaConfig,
     accuracy,
@@ -227,15 +227,35 @@ def test_match_is_an_entry_at_its_distance(n, blind, instance_seed, requested):
     assert result.distance >= d_min
 
 
+def test_paper_policy_returns_the_minimum_unless_its_probe_cannot_succeed():
+    # every sampled entry at the probed distance counts, not only the top
+    # outcome, so an exact loader finds d_min whenever its probe has any
+    # chance; the one exemption is c/N = 3/4, where the paper's single
+    # layer gives exactly zero
+    exempt = 0
+    for n, instances in ((3, 40), (4, 40), (5, 40), (6, 15)):
+        for seed in range(instances):
+            db = random_database(n, "floor", [seed, n, 0])
+            target = random_target(n, [seed, n, 1])
+            d_min, nearest = classical_min_hamming(db, target)
+            plan = make_plan(db.size, len(nearest), "paper_ceil")
+            if success_probability(plan.layers, db.size, len(nearest)) < 1e-12:
+                exempt += 1
+                continue
+            result = run_qsa(exact_loader(db), db, target, QsaConfig(rng_seed=seed))
+            assert (result.distance, result.degraded) == (d_min, False), (n, seed)
+    assert exempt < 10
+
+
 def test_degraded_fallback_is_flagged_and_sound():
-    # the balanced two-entry geometry is a coin flip per attempt, so with
-    # repeats=1 some seeds exhaust every probe; the fallback must still
-    # return a database entry at its true distance
+    # the balanced two-entry geometry is a coin flip per sample, so with one
+    # shot per probe some seeds sample no entry at any probed distance; the
+    # fallback must still return a database entry at its true distance
     db = Database(3, ("000", "111"))
     target = TargetSequence("100")
     saw_degraded = False
     for seed in range(12):
-        result = run_qsa(exact_loader(db), db, target, QsaConfig(rng_seed=seed))
+        result = run_qsa(exact_loader(db), db, target, QsaConfig(rng_seed=seed, shots=1))
         assert result.match in db.entries
         assert result.distance == hamming(result.match, target.bits)
         saw_degraded = saw_degraded or result.degraded

@@ -40,7 +40,6 @@ def test_alphabet_codes():
         Alphabet(("A",))
     with pytest.raises(ValueError):
         Alphabet(("A", "A"))
-    assert Alphabet.from_text("0\n1\n").letters == ("0", "1")
 
 
 def test_encode_sequence():
