@@ -38,7 +38,6 @@ from .registers import (
     TargetSequence,
     database_state,
     encode_sequence,
-    exact_loader,
 )
 from .simcore import serialize_circuit
 
@@ -65,7 +64,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_lines(path: str) -> list[str]:
     text = Path(path).read_text()
-    return [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    stripped = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in stripped if ln and not ln.startswith("#")]
 
 
 def _load_alphabet(path: str | None) -> Alphabet | None:
@@ -116,14 +116,6 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
 
 
-def _loader_for(db: Database, fidelity: float | None, seed: int, full: bool):
-    """Database loader at the requested preparation fidelity (None = exact)."""
-    if fidelity is None or fidelity == 1.0:
-        return exact_loader(db)
-    ga_config = GaConfig(rng_seed=seed) if full else None
-    return calibrated_loader(db, fidelity, sub_seed(seed, _PERTURB_TAG), ga_config)
-
-
 def _cmd_run(args) -> int:
     try:
         alphabet = _load_alphabet(args.alphabet)
@@ -136,12 +128,13 @@ def _cmd_run(args) -> int:
             rng_seed=args.seed,
             blind=args.blind,
         )
-        if args.fidelity is not None and not 0.0 < args.fidelity <= 1.0:
+        if not 0.0 < args.fidelity <= 1.0:
             raise ValueError(f"--fidelity must be in (0, 1], got {args.fidelity}")
     except (OSError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
 
-    loader = _loader_for(db, args.fidelity, args.seed, args.full)
+    ga_config = GaConfig(rng_seed=args.seed) if args.full else None
+    loader = calibrated_loader(db, args.fidelity, sub_seed(args.seed, _PERTURB_TAG), ga_config)
     result = run_qsa(loader, db, target, config)
     record = result_record(result, db, target, config)
     line = json.dumps(record)
@@ -283,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--shots", type=int, default=4096)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--repeats", type=int, default=1, help="sampling attempts per probe distance")
-    run_p.add_argument("--layer-policy", choices=sorted(_POLICIES), default="paper")
-    run_p.add_argument("--fidelity", type=float, default=None, help="preparation fidelity (default exact)")
+    run_p.add_argument("--layer-policy", choices=sorted(_POLICIES), default="best")
+    run_p.add_argument("--fidelity", type=float, default=1.0, help="preparation fidelity")
     mode = run_p.add_mutually_exclusive_group()
     mode.add_argument("--fast", dest="full", action="store_false",
                       help="exact synthesis of the perturbed state (default)")

@@ -5,6 +5,9 @@ probe distance delta; diffusion reflects about the full prepared state by
 conjugating a reflection about |0...0> with the initialisation circuit.
 Both sign flips are one MCZ, and both are reflections, so each squares to
 the identity (up to global phase, which nothing here observes).
+
+make_plan is the one layer planner. Both of its policies scan from zero
+layers, so a probe whose oracle marks every entry runs none.
 """
 from __future__ import annotations
 
@@ -38,15 +41,14 @@ class GroverPlan:
     database_size: int
     matches: int
     layers: int
-    theta: float
 
     def __post_init__(self):
         if not 1 <= self.matches <= self.database_size:
             raise ValueError(
                 f"need 1 <= matches <= database size, got {self.matches}/{self.database_size}"
             )
-        if self.layers < 1:
-            raise ValueError("a plan always runs at least one layer")
+        if self.layers < 0:
+            raise ValueError(f"layer count must be >= 0, got {self.layers}")
 
 
 def _flip_sign(num_qubits: int, pattern) -> Circuit:
@@ -130,59 +132,41 @@ def success_probability(p: int, database_size: int, matches: int) -> float:
     return math.sin((2 * p + 1) * theta) ** 2
 
 
-def optimal_layers(database_size: int, matches: int) -> int:
-    """ceil((pi/4) * sqrt(N/c)) layers.
-
-    The ceiling can overshoot the true integer optimum; see
-    ``best_integer_layers`` for the argmax choice.
-    """
-    if not 1 <= matches <= database_size:
-        raise ValueError(f"need 1 <= matches <= database size, got {matches}/{database_size}")
-    return math.ceil(math.pi / 4.0 * math.sqrt(database_size / matches))
-
-
-def best_integer_layers(database_size: int, matches: int) -> int:
-    """The integer p maximizing success_probability, smallest on ties.
-
-    For c/N <= 1/2 the scan stays inside the first oscillation of
-    sin^2((2p+1)theta), whose peak is the canonical stopping point near
-    pi/(4 theta) - 1/2. For coarser ratios that peak falls below p = 1, so
-    the scan widens to later cycles, which can land much nearer a maximum
-    (c/N = 2/3 reaches 0.998 at p = 2). May return 0 when no layer improves
-    on the initial overlap: c = N, or the stationary ratio c/N = 1/2 where
-    every layer count yields exactly 1/2.
-    """
-    return _scan_layers(database_size, matches, 0)
-
-
-def _scan_layers(database_size: int, matches: int, start: int) -> int:
-    theta = math.asin(math.sqrt(matches / database_size))
-    if 2 * matches <= database_size:
-        horizon = math.ceil(math.pi / (4.0 * theta)) + 1
-    else:
-        horizon = math.ceil(math.pi / (2.0 * theta)) + 8
-    # probabilities equal to within 1e-12 count as tied, so the stationary
-    # ratio picks the shallowest p regardless of last-ulp libm wiggle
-    return max(
-        range(start, max(start, horizon) + 1),
-        key=lambda p: (round(success_probability(p, database_size, matches), 12), -p),
-    )
-
-
 def make_plan(database_size: int, matches: int, policy: str = "paper_ceil") -> GroverPlan:
     """Layer plan under a policy: 'paper_ceil' or 'best_integer'.
 
-    Plans always run at least one layer, so under best_integer the search
-    is restricted to p >= 1. Restricting matters: some ratios alternate
-    between good and bad layer counts (c/N = 3/4 gives exactly 0.75 at
-    even p and exactly 0 at odd p), so the plan must pick the best depth
-    at or above one rather than depth one itself.
+    With c = N the oracle marks every entry, so both policies plan zero
+    layers: there is nothing to amplify, and on an exact loader no layer
+    count changes anything, since sin^2((2p+1) pi/2) = 1. Otherwise
+    paper_ceil takes ceil((pi/4) sqrt(N/c)), which can overshoot the
+    integer optimum, and best_integer the smallest p >= 0 maximising
+    success_probability. For c/N <= 1/2 that scan stays inside the first
+    oscillation of sin^2((2p+1) theta), whose peak is near
+    pi/(4 theta) - 1/2; for coarser ratios it widens to later cycles,
+    which can land nearer a maximum (c/N = 2/3 reaches 0.998 at p = 2).
+    best_integer plans zero layers where no layer beats the initial
+    overlap, as at c/N = 1/2 (every p gives 1/2) and c/N = 3/4 (odd p
+    give exactly 0).
     """
-    if policy == "paper_ceil":
-        layers = optimal_layers(database_size, matches)
-    elif policy == "best_integer":
-        layers = _scan_layers(database_size, matches, 1)
-    else:
+    if policy not in LAYER_POLICIES:
         raise ValueError(f"unknown layer policy {policy!r}")
-    theta = math.asin(math.sqrt(matches / database_size))
-    return GroverPlan(database_size, matches, layers, theta)
+    if not 1 <= matches <= database_size:
+        raise ValueError(f"need 1 <= matches <= database size, got {matches}/{database_size}")
+    if matches == database_size:
+        layers = 0
+    elif policy == "paper_ceil":
+        layers = math.ceil(math.pi / 4.0 * math.sqrt(database_size / matches))
+    else:
+        theta = math.asin(math.sqrt(matches / database_size))
+        if 2 * matches <= database_size:
+            horizon = math.ceil(math.pi / (4.0 * theta)) + 1
+        else:
+            horizon = math.ceil(math.pi / (2.0 * theta)) + 8
+        # probabilities equal to within 1e-12 count as tied, so the
+        # stationary ratio picks the shallowest p regardless of last-ulp
+        # libm wiggle
+        layers = max(
+            range(horizon + 1),
+            key=lambda p: (round(success_probability(p, database_size, matches), 12), -p),
+        )
+    return GroverPlan(database_size, matches, layers)

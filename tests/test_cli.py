@@ -78,16 +78,19 @@ def test_run_alphabet_encoding(tmp_path, capsys):
 
 def test_alphabet_file_skips_comment_lines(tmp_path, capsys):
     # alphabet files follow the database format: blank and '#' lines are
-    # skipped, so a header adds no letter and widens no code
+    # skipped, indented or not, so a header adds no letter and widens no code
     db = _write(tmp_path / "dna.txt", "GAT\nGCA\nTAC\nCTG\n")
     plain = _write(tmp_path / "plain.txt", "A\nC\nG\nT\n")
     commented = _write(tmp_path / "commented.txt", "# nucleotides\nA\nC\n\nG\nT\n")
-    assert cli._load_alphabet(commented).letters == ("A", "C", "G", "T")
-    argv = ["run", "--db", db, "--target", "GAA", "--layer-policy", "best", "--alphabet"]
+    indented = _write(tmp_path / "indented.txt", "  # nucleotides\nA\nC\n\t# purines above\nG\nT\n")
+    for path in (commented, indented):
+        assert cli._load_alphabet(path).letters == ("A", "C", "G", "T")
+    argv = ["run", "--db", db, "--target", "GAA", "--alphabet"]
     assert main(argv + [plain]) == 0
     expected = capsys.readouterr().out
-    assert main(argv + [commented]) == 0
-    assert capsys.readouterr().out == expected
+    for path in (commented, indented):
+        assert main(argv + [path]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_run_usage_errors(db3, tmp_path, capsys):
@@ -125,7 +128,8 @@ def test_run_strict_degraded_exits_2(tmp_path, capsys):
     # badly here, so the single shot of each probe misses its entries at
     # that distance and the run degrades
     db = _write(tmp_path / "db.txt", "000\n011\n101\n")
-    argv = ["run", "--db", db, "--target", "111", "--seed", "0", "--shots", "1"]
+    argv = ["run", "--db", db, "--target", "111", "--seed", "0", "--shots", "1",
+            "--layer-policy", "paper"]
     assert main(argv) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["degraded"] is True
@@ -172,6 +176,24 @@ def test_run_full_fidelity_loader_pinned(db3, monkeypatch, capsys):
     )
 
 
+def test_run_full_exact_fidelity_evolves_the_gasp_loader(db3, monkeypatch, tmp_path, capsys):
+    # at the default fidelity 1.0, --full evolves the same circuit that the
+    # gasp subcommand writes for the same seed, instead of the exact loader
+    loaders = []
+    run_qsa = cli.run_qsa
+
+    def spy(loader, *args):
+        loaders.append(loader)
+        return run_qsa(loader, *args)
+
+    monkeypatch.setattr(cli, "run_qsa", spy)
+    assert main(["run", "--db", db3, "--target", "100", "--full", "--seed", "3"]) == 0
+    out = tmp_path / "loader.txt"
+    assert main(["gasp", "--db", db3, "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert serialize_circuit(loaders[0]) == out.read_text()
+
+
 class _Allocated(Exception):
     pass
 
@@ -180,7 +202,7 @@ def test_oversized_entries_refused_before_allocation(tmp_path, monkeypatch, caps
     def allocate(*args, **kwargs):
         raise _Allocated("allocation attempted")
 
-    for name in ("_loader_for", "run_qsa", "gasp_prepare"):
+    for name in ("calibrated_loader", "run_qsa", "gasp_prepare"):
         monkeypatch.setattr(cli, name, allocate)
     alphabet = _write(tmp_path / "alphabet.txt", "A\nT\nG\nC\n")
     dna = _write(tmp_path / "dna.txt", "GATTACA\nGATTACC\n")

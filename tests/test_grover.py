@@ -10,12 +10,10 @@ from qsalign.experiments import calibrated_loader, random_database, random_targe
 from qsalign.grover import (
     GroverPlan,
     OracleSpec,
-    best_integer_layers,
     diffusion,
     grover_layer,
     make_plan,
     marked_probability,
-    optimal_layers,
     phase_oracle,
     search_circuit,
     success_probability,
@@ -200,15 +198,19 @@ def test_success_probability_known_values():
         success_probability(-1, 4, 1)
 
 
-def test_optimal_layers_formula():
-    assert optimal_layers(2, 1) == 2
-    assert optimal_layers(4, 1) == 2
-    assert optimal_layers(7, 1) == 3
-    assert optimal_layers(64, 1) == 7
-    assert optimal_layers(5, 5) == 1
+def test_paper_ceil_frozen_cases():
+    cases = {
+        (2, 1): 2,
+        (4, 1): 2,
+        (7, 1): 3,
+        (64, 1): 7,
+        (5, 5): 0,   # the oracle marks every entry: nothing to amplify
+    }
+    for (size, matches), expected in cases.items():
+        assert make_plan(size, matches, "paper_ceil").layers == expected, (size, matches)
 
 
-def test_best_integer_layers_frozen_cases():
+def test_best_integer_frozen_cases():
     cases = {
         (7, 1): 2,
         (4, 1): 1,
@@ -223,7 +225,7 @@ def test_best_integer_layers_frozen_cases():
         (4, 3): 0,   # odd layer counts hit exactly zero
     }
     for (size, matches), expected in cases.items():
-        assert best_integer_layers(size, matches) == expected, (size, matches)
+        assert make_plan(size, matches, "best_integer").layers == expected, (size, matches)
 
 
 def test_best_integer_quality_bounds():
@@ -231,27 +233,58 @@ def test_best_integer_quality_bounds():
     # matches it reaches the standard first-peak guarantee 1 - c/N
     for size in range(2, 21):
         for matches in range(1, size + 1):
-            top = success_probability(best_integer_layers(size, matches), size, matches)
+            layers = make_plan(size, matches, "best_integer").layers
+            top = success_probability(layers, size, matches)
             assert top + 1e-9 >= success_probability(0, size, matches)
             assert top + 1e-9 >= success_probability(1, size, matches)
             assert top + 1e-9 >= 1 - matches / size
 
 
+def test_plans_start_from_zero_layers():
+    # every 1 <= c <= N <= 64: 2080 pairs, cheap enough to check them all
+    for size in range(1, 65):
+        for matches in range(1, size + 1):
+            paper = make_plan(size, matches, "paper_ceil").layers
+            best = make_plan(size, matches, "best_integer").layers
+            assert paper >= 0 and best >= 0
+            if matches == size:
+                assert paper == best == 0
+            # later cycles of sin^2((2p+1) theta) creep ever closer to 1, so
+            # the policy looks no further than its first oscillation when
+            # c/N <= 1/2, and a few cycles for coarser ratios; within that
+            # it is the smallest brute-force argmax, zero layers included
+            theta = math.asin(math.sqrt(matches / size))
+            if 2 * matches <= size:
+                horizon = math.ceil(math.pi / (4 * theta)) + 1
+            else:
+                horizon = math.ceil(math.pi / (2 * theta)) + 8
+            scores = [
+                round(success_probability(p, size, matches), 12) for p in range(horizon + 1)
+            ]
+            assert best == scores.index(max(scores)), (size, matches)
+            top = success_probability(best, size, matches)
+            assert top + 1e-12 >= success_probability(0, size, matches)
+            assert top + 1e-12 >= success_probability(paper, size, matches)
+
+
 def test_make_plan_policies():
-    plan = make_plan(7, 1, "paper_ceil")
-    assert plan.layers == 3
-    assert np.isclose(plan.theta, math.asin(math.sqrt(1 / 7)))
-    # the plan never drops below one layer, so at the alternating ratio
-    # c/N = 3/4 it must pick an even layer count rather than a zero-success one
+    assert make_plan(7, 1, "paper_ceil").layers == 3
+    # at the alternating ratio c/N = 3/4 every odd layer count succeeds with
+    # probability exactly 0, so the best plan keeps the initial overlap
     plan = make_plan(4, 3, "best_integer")
-    assert plan.layers == 2
+    assert plan.layers == 0
     assert np.isclose(success_probability(plan.layers, 4, 3), 0.75)
+    assert GroverPlan(4, 1, 0).layers == 0
     with pytest.raises(ValueError):
         make_plan(4, 1, "greedy")
     with pytest.raises(ValueError):
-        GroverPlan(4, 1, 0, 0.5)
+        make_plan(4, 4, "greedy")
     with pytest.raises(ValueError):
-        GroverPlan(4, 5, 1, 0.5)
+        make_plan(4, 0, "paper_ceil")
+    with pytest.raises(ValueError):
+        GroverPlan(4, 1, -1)
+    with pytest.raises(ValueError):
+        GroverPlan(4, 5, 1)
 
 
 def test_marked_probability_hand_state():

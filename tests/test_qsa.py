@@ -23,7 +23,7 @@ from qsalign.registers import (
     hamming,
     initialisation_unitary,
 )
-from qsalign.simcore import run_circuit
+from qsalign.simcore import run_circuit, sample_counts
 
 
 def test_config_validation():
@@ -245,6 +245,26 @@ def test_paper_policy_returns_the_minimum_unless_its_probe_cannot_succeed():
             result = run_qsa(exact_loader(db), db, target, QsaConfig(rng_seed=seed))
             assert (result.distance, result.degraded) == (d_min, False), (n, seed)
     assert exempt < 10
+
+
+def test_probe_marking_every_entry_runs_no_layer():
+    # both entries sit at d_min, so the oracle marks the whole database; on
+    # a loader at fidelity 0.8 the marked weight is below 1 and one layer
+    # overshoots it, while the bare preparation already scores well
+    db = random_database(3, "floor", [12, 0])
+    target = random_target(3, [12, 1])
+    d_min, nearest = classical_min_hamming(db, target)
+    assert len(nearest) == db.size
+    loader = calibrated_loader(db, 0.8, 12)
+    layout = RegisterLayout(3)
+    prep = initialisation_unitary(loader, target, layout)
+    one_layer = run_circuit(search_circuit(prep, OracleSpec(d_min, layout), 1))
+    ideal = ideal_distribution(db, target, d_min, 1)
+    one_layer_accuracy = accuracy(sample_counts(one_layer, 4096, 12), ideal)
+    for policy in ("paper_ceil", "best_integer"):
+        result = run_qsa(loader, db, target, QsaConfig(layer_policy=policy, rng_seed=12))
+        assert (result.distance, result.layers_used) == (d_min, 0)
+        assert result.accuracy > one_layer_accuracy
 
 
 def test_degraded_fallback_is_flagged_and_sound():
