@@ -75,6 +75,12 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One trial's outcome; every result field is None when error is set.
+
+    degraded is run_qsa's flag: no probe accepted an outcome, and the
+    distance found is the classical fallback's.
+    """
+
     n: int
     N: int
     target_fidelity: float
@@ -86,6 +92,7 @@ class SweepRecord:
     layers: int | None
     seed: int
     error: str | None = None
+    degraded: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -254,6 +261,7 @@ def run_sweep_trial(
         accuracy=result.accuracy,
         distance_found=result.distance,
         layers=result.layers_used,
+        degraded=result.degraded,
     )
 
 

@@ -11,6 +11,7 @@ layers, so a probe whose oracle marks every entry runs none.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,9 @@ def _flip_sign(num_qubits: int, pattern) -> Circuit:
     return Circuit(num_qubits, wrap + (core,) + wrap)
 
 
+# built once per key: specs and widths are frozen, few in any run, and a
+# Circuit is immutable
+@functools.lru_cache(maxsize=None)
 def phase_oracle(spec: OracleSpec) -> Circuit:
     """Multiply by -1 exactly on basis states whose distance register is delta."""
     layout = spec.layout
@@ -72,6 +76,7 @@ def phase_oracle(spec: OracleSpec) -> Circuit:
     return _flip_sign(layout.total, pattern)
 
 
+@functools.lru_cache(maxsize=None)
 def zero_reflection(num_qubits: int) -> Circuit:
     """Reflection about |0...0>: the oracle's sign-flip MCZ at every bit 0.
 

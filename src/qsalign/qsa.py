@@ -7,7 +7,8 @@ database entry at classical Hamming distance delta from the target, so
 every match is an entry at its reported distance. The entries' distances
 are computed once per search, so every classical fact after that is a
 lookup. Accuracy is scored against the closed-form output of the same
-search on an exact loader.
+search on an exact loader. Probes simulate the loader without its trailing
+diagonal gates, which no outcome probability can see.
 """
 from __future__ import annotations
 
@@ -30,6 +31,9 @@ from .registers import (
 from .simcore import Circuit, index_to_bits, run_circuit, sample_counts
 
 logger = logging.getLogger(__name__)
+
+# gate kinds whose matrix is diagonal in the computational basis, with any controls
+_DIAGONAL_KINDS = frozenset({"RZ", "Z", "MCZ"})
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,14 @@ def accuracy(counts: dict[str, int], ideal: dict[str, float]) -> float:
     return dot / (math.hypot(*counts.values()) * math.hypot(*ideal.values()))
 
 
+def strip_diagonal_tail(loader: Circuit) -> Circuit:
+    """The loader without its maximal trailing run of diagonal gates."""
+    end = len(loader.gates)
+    while end and loader.gates[end - 1].kind in _DIAGONAL_KINDS:
+        end -= 1
+    return Circuit(loader.num_qubits, loader.gates[:end])
+
+
 def run_qsa(
     db_loader: Circuit,
     db: Database,
@@ -140,12 +152,24 @@ def run_qsa(
     was ever observed).
 
     Accuracy compares the final attempt's histogram with
-    ``ideal_distribution``, so preparation infidelity lowers it.
+    ``ideal_distribution``, so infidelity in the loader's magnitudes lowers
+    it; infidelity in its phases alone cannot.
+
+    Every probe drops the loader's trailing diagonal gates first, which
+    leaves every outcome probability as it was. Write the loader as C then
+    T, T the diagonal tail on the data qubits. T commutes with the target
+    load, the entangler and the popcount, which touch the data qubits only
+    as controls or not at all, and with the oracle, which is diagonal, so
+    T^-1 O T = O. The preparation is therefore T P', P' the preparation
+    with loader C, each diffusion is T D' T^-1 with D' the diffusion about
+    P'|0>, and each layer is T (D' O) T^-1. The final state is
+    T (D' O)^p P'|0>, and T is diagonal and unitary, so |amplitude|^2
+    is the same for every basis state.
     """
     layout = RegisterLayout(db.n)
     seed_root = np.random.SeedSequence(config.rng_seed)
     # refuses a loader or target of another width before any simulation
-    prep = initialisation_unitary(db_loader, target, layout)
+    prep = initialisation_unitary(strip_diagonal_tail(db_loader), target, layout)
     distance = {e: hamming(e, target.bits) for e in db.entries}
     matches = Counter(distance.values())
 

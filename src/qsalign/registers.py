@@ -13,6 +13,7 @@ bitstring reads ``<distance bits><sample bits><data bits>``.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -235,12 +236,16 @@ def target_loader(target: TargetSequence, layout: RegisterLayout) -> Circuit:
     return Circuit(layout.total, tuple(gates))
 
 
+# the layout-fixed circuits are built once per layout: keys are frozen
+# layouts, few in any run, and a Circuit is immutable
+@functools.lru_cache(maxsize=None)
 def entangler(layout: RegisterLayout) -> Circuit:
     """CNOTs from each data qubit onto its sample partner: |d>|s> -> |d>|s XOR d>."""
     gates = [cnot(j, layout.n + j) for j in range(layout.n)]
     return Circuit(layout.total, tuple(gates))
 
 
+@functools.lru_cache(maxsize=None)
 def popcount_operator(layout: RegisterLayout) -> Circuit:
     """Writes popcount(sample) into the distance register.
 

@@ -23,6 +23,7 @@ from qsalign.experiments import (
     write_sweep_files,
 )
 from qsalign.gasp import GaConfig
+from qsalign.qsa import run_qsa
 from qsalign.registers import Database, database_state
 from qsalign.simcore import fidelity, run_circuit
 
@@ -205,6 +206,27 @@ def test_fidelity_sweep_parallel_matches_serial(tmp_path):
     assert serial.records == parallel.records
 
 
+def test_sweep_records_carry_the_degraded_flag(monkeypatch, tmp_path):
+    # one shot per probe on a two-entry database often samples no entry at
+    # any probed distance, so run_qsa falls back; the record and its
+    # records.jsonl line must carry the flag run_qsa returned
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(run_qsa(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "run_qsa", spy)
+    config = SweepConfig(qubit_sizes=(3,), fidelities=(0.3,), trials_per_point=12, shots=1, seed=9)
+    result = fidelity_sweep(config)
+    flags = [r.degraded for r in results]
+    assert [r.degraded for r in result.records] == flags
+    assert set(flags) == {False, True}
+    write_sweep_files(result, tmp_path)
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    assert [json.loads(line)["degraded"] for line in lines] == flags
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failed_trial_comes_back_as_an_error_record(monkeypatch, caplog, jobs):
     # a trial that raises past its instance draw must not stop the sweep;
@@ -231,7 +253,7 @@ def test_failed_trial_comes_back_as_an_error_record(monkeypatch, caplog, jobs):
         assert (failed.d_min_classical, failed.seed) == (ok.d_min_classical, ok.seed)
         assert failed.error == "RuntimeError: no loader at 0.5"
         assert (failed.achieved_fidelity, failed.accuracy) == (None, None)
-        assert (failed.distance_found, failed.layers) == (None, None)
+        assert (failed.distance_found, failed.layers, failed.degraded) == (None, None, None)
     assert result.summary == healthy.summary[1:]
     assert caplog.text.count("RuntimeError: no loader at 0.5") == 2
 

@@ -5,7 +5,13 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qsalign.experiments import calibrated_loader, random_database, random_target
-from qsalign.grover import OracleSpec, make_plan, search_circuit, success_probability
+from qsalign.grover import (
+    OracleSpec,
+    grover_layer,
+    make_plan,
+    search_circuit,
+    success_probability,
+)
 from qsalign.qsa import (
     QsaConfig,
     accuracy,
@@ -14,6 +20,7 @@ from qsalign.qsa import (
     ideal_distribution,
     result_record,
     run_qsa,
+    strip_diagonal_tail,
 )
 from qsalign.registers import (
     Database,
@@ -23,7 +30,7 @@ from qsalign.registers import (
     hamming,
     initialisation_unitary,
 )
-from qsalign.simcore import run_circuit, sample_counts
+from qsalign.simcore import Circuit, apply_circuit, mcz, ry, run_circuit, rz, sample_counts, z
 
 
 def test_config_validation():
@@ -280,6 +287,73 @@ def test_degraded_fallback_is_flagged_and_sound():
         assert result.distance == hamming(result.match, target.bits)
         saw_degraded = saw_degraded or result.degraded
     assert saw_degraded
+
+
+# no shrink phase: shrinking a failing 15-qubit example takes minutes
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@settings(max_examples=5, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(instance_seed=st.integers(0, 2**32 - 1), requested=st.floats(0.0, 1.0, exclude_min=True))
+def test_diagonal_tail_leaves_every_probability(n, instance_seed, requested):
+    # a calibrated loader ends in the RZ tree that sets its phases; the
+    # search with and without that tail agrees on every full-register
+    # probability, at every delta and p = 0..3
+    db = random_database(n, "floor", [instance_seed, 0])
+    target = random_target(n, [instance_seed, 1])
+    loader = calibrated_loader(db, requested, instance_seed)
+    layout = RegisterLayout(n)
+    preps = [
+        initialisation_unitary(circuit, target, layout)
+        for circuit in (loader, strip_diagonal_tail(loader))
+    ]
+    for delta in range(n + 1):
+        layers = [grover_layer(prep, OracleSpec(delta, layout)) for prep in preps]
+        states = [run_circuit(prep) for prep in preps]
+        for p in range(4):
+            if p:
+                states = [apply_circuit(s, layer) for s, layer in zip(states, layers)]
+            full, stripped = (s.probabilities() for s in states)
+            assert np.max(np.abs(full - stripped)) <= 1e-12, (delta, p)
+
+
+def _random_diagonal_gates(n, rng, count):
+    gates = []
+    for _ in range(count):
+        qubits = [int(q) for q in rng.permutation(n)[: rng.integers(1, n + 1)]]
+        controls = [(q, int(rng.integers(2))) for q in qubits[1:]]
+        kind = rng.integers(3)
+        if kind == 0:
+            gates.append(rz(qubits[0], float(rng.uniform(-np.pi, np.pi)), controls))
+        elif kind == 1:
+            gates.append(z(qubits[0]))
+        else:
+            gates.append(mcz(controls, qubits[0]))
+    return tuple(gates)
+
+
+def test_run_qsa_ignores_a_diagonal_tail():
+    # the loader ends in an RY, so the tail appended here is the only one
+    # stripped, and every field of the result comes out the same
+    rng = np.random.default_rng(17)
+    for n in (3, 4, 5):
+        for requested in (1.0, 0.7, 0.3):
+            db = random_database(n, "floor", rng)
+            target = random_target(n, rng)
+            loader = calibrated_loader(db, requested, int(rng.integers(2**31)))
+            ends = ry(int(rng.integers(n)), float(rng.uniform(0.1, 3.0)))
+            loader = Circuit(n, loader.gates + (ends,))
+            tailed = Circuit(n, loader.gates + _random_diagonal_gates(n, rng, 6))
+            config = QsaConfig(rng_seed=int(rng.integers(2**31)))
+            assert run_qsa(tailed, db, target, config) == run_qsa(loader, db, target, config)
+
+
+def test_all_diagonal_loader_runs_as_the_empty_loader():
+    rng = np.random.default_rng(23)
+    db = random_database(4, "floor", rng)
+    target = random_target(4, rng)
+    config = QsaConfig(rng_seed=23)
+    diagonal = Circuit(4, _random_diagonal_gates(4, rng, 8))
+    assert strip_diagonal_tail(diagonal).gates == ()
+    assert run_qsa(diagonal, db, target, config) == run_qsa(Circuit(4), db, target, config)
 
 
 def test_loader_width_mismatch():
