@@ -78,7 +78,8 @@ class SweepRecord:
     """One trial's outcome; every result field is None when error is set.
 
     degraded is run_qsa's flag: no probe accepted an outcome, and the
-    distance found is the classical fallback's.
+    distance found is the classical fallback's. optimal says whether the
+    distance found is the classical minimum.
     """
 
     n: int
@@ -93,6 +94,7 @@ class SweepRecord:
     seed: int
     error: str | None = None
     degraded: bool | None = None
+    optimal: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -262,6 +264,7 @@ def run_sweep_trial(
         distance_found=result.distance,
         layers=result.layers_used,
         degraded=result.degraded,
+        optimal=result.distance == d_min,
     )
 
 

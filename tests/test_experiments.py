@@ -227,6 +227,20 @@ def test_sweep_records_carry_the_degraded_flag(monkeypatch, tmp_path):
     assert [json.loads(line)["degraded"] for line in lines] == flags
 
 
+def test_sweep_records_carry_the_optimal_flag(tmp_path):
+    # one shot per probe at n=4 often misses every entry at d_min and
+    # accepts one at a larger distance; records.jsonl must say which
+    config = SweepConfig(qubit_sizes=(4,), fidelities=(0.3,), trials_per_point=8, shots=1, seed=1)
+    result = fidelity_sweep(config)
+    flags = [r.distance_found == r.d_min_classical for r in result.records]
+    assert [r.optimal for r in result.records] == flags
+    assert set(flags) == {False, True}
+    write_sweep_files(result, tmp_path)
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    assert [list(json.loads(line))[-1] for line in lines] == ["optimal"] * len(lines)
+    assert [json.loads(line)["optimal"] for line in lines] == flags
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failed_trial_comes_back_as_an_error_record(monkeypatch, caplog, jobs):
     # a trial that raises past its instance draw must not stop the sweep;
@@ -254,6 +268,7 @@ def test_failed_trial_comes_back_as_an_error_record(monkeypatch, caplog, jobs):
         assert failed.error == "RuntimeError: no loader at 0.5"
         assert (failed.achieved_fidelity, failed.accuracy) == (None, None)
         assert (failed.distance_found, failed.layers, failed.degraded) == (None, None, None)
+        assert failed.optimal is None
     assert result.summary == healthy.summary[1:]
     assert caplog.text.count("RuntimeError: no loader at 0.5") == 2
 
