@@ -30,7 +30,15 @@ from .registers import (
     initialisation_unitary,
     state_preparation_circuit,
 )
-from .simcore import Circuit, apply_circuit, fidelity, index_to_bits, run_circuit, sample_counts
+from .simcore import (
+    Circuit,
+    Statevector,
+    apply_circuit,
+    fidelity,
+    index_to_bits,
+    run_circuit,
+    sample_counts,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +87,10 @@ class SweepRecord:
 
     degraded is run_qsa's flag: no probe accepted an outcome, and the
     distance found is the classical fallback's. optimal says whether the
-    distance found is the classical minimum.
+    distance found is the classical minimum. magnitude_fidelity is
+    (sum_d |psi_d| |phi_d|)^2 between the database state and the loaded
+    one: the part of achieved_fidelity the search can see, since no outcome
+    probability depends on the loaded phases.
     """
 
     n: int
@@ -95,6 +106,7 @@ class SweepRecord:
     error: str | None = None
     degraded: bool | None = None
     optimal: bool | None = None
+    magnitude_fidelity: float | None = None
 
 
 @dataclass(frozen=True)
@@ -105,6 +117,8 @@ class SummaryRow:
     mean_accuracy: float
     std_accuracy: float
     trials: int
+    suboptimal: int
+    degraded: int
 
 
 @dataclass(frozen=True)
@@ -248,7 +262,11 @@ def run_sweep_trial(
     try:
         ga_config = GaConfig(rng_seed=sub_seed(trial_seed, 3)) if mode == "full" else None
         loader = calibrated_loader(db, target_fidelity, sub_seed(trial_seed, 2), ga_config)
-        achieved = fidelity(database_state(db), run_circuit(loader))
+        ideal, loaded = database_state(db), run_circuit(loader)
+        achieved = fidelity(ideal, loaded)
+        magnitude = fidelity(
+            Statevector(n, np.abs(ideal.amplitudes)), Statevector(n, np.abs(loaded.amplitudes))
+        )
         result = run_qsa(
             loader,
             db,
@@ -265,19 +283,26 @@ def run_sweep_trial(
         layers=result.layers_used,
         degraded=result.degraded,
         optimal=result.distance == d_min,
+        magnitude_fidelity=magnitude,
     )
 
 
 def summarize(records: tuple[SweepRecord, ...] | list[SweepRecord]) -> tuple[SummaryRow, ...]:
-    """Mean and standard deviation of accuracy per (n, fidelity) point."""
+    """Accuracy mean and standard deviation per (n, fidelity) point.
+
+    Each row also counts the point's trials that missed the classical
+    minimum (suboptimal) and that fell back to it (degraded). Error
+    records count in none of the row's figures.
+    """
     groups: dict[tuple[int, float], list[SweepRecord]] = {}
     for r in records:
         groups.setdefault((r.n, r.target_fidelity), []).append(r)
     rows = []
     for (n, fid), group in sorted(groups.items()):
-        scores = [r.accuracy for r in group if r.error is None]
-        if not scores:
+        done = [r for r in group if r.error is None]
+        if not done:
             continue
+        scores = [r.accuracy for r in done]
         rows.append(
             SummaryRow(
                 n=n,
@@ -286,6 +311,8 @@ def summarize(records: tuple[SweepRecord, ...] | list[SweepRecord]) -> tuple[Sum
                 mean_accuracy=float(np.mean(scores)),
                 std_accuracy=float(np.std(scores)),
                 trials=len(scores),
+                suboptimal=sum(r.optimal is False for r in done),
+                degraded=sum(r.degraded is True for r in done),
             )
         )
     return tuple(rows)
@@ -359,11 +386,14 @@ def write_sweep_files(result: SweepResult, out_dir: str | Path) -> list[Path]:
     summary_path = out / "summary.csv"
     with summary_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "N", "fidelity", "mean_accuracy", "std_accuracy", "trials"])
+        writer.writerow(
+            ["n", "N", "fidelity", "mean_accuracy", "std_accuracy", "trials",
+             "suboptimal", "degraded"]
+        )
         for row in result.summary:
             writer.writerow(
-                [row.n, row.N, repr(row.fidelity),
-                 repr(row.mean_accuracy), repr(row.std_accuracy), row.trials]
+                [row.n, row.N, repr(row.fidelity), repr(row.mean_accuracy),
+                 repr(row.std_accuracy), row.trials, row.suboptimal, row.degraded]
             )
     written.append(summary_path)
 

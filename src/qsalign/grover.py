@@ -2,9 +2,10 @@
 
 The oracle flips the sign of branches whose distance register equals the
 probe distance delta; diffusion reflects about the full prepared state by
-conjugating a reflection about |0...0> with the initialisation circuit.
-Both sign flips are one MCZ, and both are reflections, so each squares to
-the identity (up to global phase, which nothing here observes).
+conjugating a reflection about a basis state with the initialisation
+circuit past its leading X gates: about |0, t, 0> for an alignment, t the
+target. Both sign flips are one MCZ, and both are reflections, so each
+squares to the identity (up to global phase, which nothing here observes).
 
 make_plan is the one layer planner. Both of its policies scan from zero
 layers, so a probe whose oracle marks every entry runs none.
@@ -52,12 +53,15 @@ class GroverPlan:
             raise ValueError(f"layer count must be >= 0, got {self.layers}")
 
 
-def _flip_sign(num_qubits: int, pattern) -> Circuit:
+# built once per key: a pattern is one probe's distance bits or one
+# target's register bits, few in any run, and a Circuit is immutable
+@functools.lru_cache(maxsize=1024)
+def _flip_sign(num_qubits: int, pattern: tuple[tuple[int, int], ...]) -> Circuit:
     """Multiply by -1 exactly on basis states matching ``pattern``.
 
-    ``pattern`` lists (qubit, bit) pairs. One MCZ hosts the Z on the first
-    qubit at bit 1, controlled by the others at their bits; with no such
-    qubit, the first hosts it between two X gates.
+    ``pattern`` is a tuple of (qubit, bit) pairs. One MCZ hosts the Z on
+    the first qubit at bit 1, controlled by the others at their bits; with
+    no such qubit, the first hosts it between two X gates.
     """
     host = next((i for i, (_, bit) in enumerate(pattern) if bit), 0)
     qubit, bit = pattern[host]
@@ -66,33 +70,43 @@ def _flip_sign(num_qubits: int, pattern) -> Circuit:
     return Circuit(num_qubits, wrap + (core,) + wrap)
 
 
-# built once per key: specs and widths are frozen, few in any run, and a
-# Circuit is immutable
-@functools.lru_cache(maxsize=None)
 def phase_oracle(spec: OracleSpec) -> Circuit:
     """Multiply by -1 exactly on basis states whose distance register is delta."""
     layout = spec.layout
-    pattern = [(q, (spec.delta >> i) & 1) for i, q in enumerate(layout.distance)]
+    pattern = tuple((q, (spec.delta >> i) & 1) for i, q in enumerate(layout.distance))
     return _flip_sign(layout.total, pattern)
 
 
-@functools.lru_cache(maxsize=None)
 def zero_reflection(num_qubits: int) -> Circuit:
     """Reflection about |0...0>: the oracle's sign-flip MCZ at every bit 0.
 
     Three gates at any width, the MCZ on qubit 0 between two X gates.
     Equals -(2|0><0| - I); the overall sign is an unobservable global phase.
+    ``diffusion`` folds a preparation's leading X gates into this flip, and
+    equals undoing the whole preparation, applying this, and redoing it.
     """
-    return _flip_sign(num_qubits, [(q, 0) for q in range(num_qubits)])
+    return _flip_sign(num_qubits, tuple((q, 0) for q in range(num_qubits)))
 
 
 def diffusion(prep: Circuit) -> Circuit:
     """Reflection about the state ``prep`` prepares from |0...0>.
 
-    Built as: undo the preparation, reflect about |0...0>, redo it. Equals
+    Write the preparation as X then R, X its leading run of uncontrolled X
+    gates. Undoing it, reflecting about |0...0> and redoing it is
+    R X S X R^-1 in operator order, S the reflection about |0...0>, and
+    X S X is the reflection about the basis state X|0...0>, whose bit on
+    each qubit is the parity of its X gates. So the diffusion undoes R,
+    flips the sign of that one basis state, and redoes R. Equals
     2|psi><psi| - I up to global phase.
     """
-    return concat(invert(prep), zero_reflection(prep.num_qubits), prep)
+    gates = prep.gates
+    bits = [0] * prep.num_qubits
+    lead = 0
+    while lead < len(gates) and gates[lead].kind == "X" and not gates[lead].controls:
+        bits[gates[lead].targets[0]] ^= 1
+        lead += 1
+    rest = Circuit(prep.num_qubits, gates[lead:])
+    return concat(invert(rest), _flip_sign(prep.num_qubits, tuple(enumerate(bits))), rest)
 
 
 def grover_layer(prep: Circuit, spec: OracleSpec) -> Circuit:

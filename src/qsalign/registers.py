@@ -28,8 +28,6 @@ from .simcore import (
     cnot,
     concat,
     mcx,
-    ry,
-    rz,
     x,
 )
 
@@ -194,29 +192,36 @@ def state_preparation_circuit(state: Statevector) -> Circuit:
 
     gates: list[Gate] = []
     for j in range(n - 1, -1, -1):
-        # marginal[v, b] = P(top bits = v, bit j = b), lower bits summed out
-        marginal = probs.reshape(1 << (n - 1 - j), 2, 1 << j).sum(axis=2)
-        for v in range(marginal.shape[0]):
-            p0, p1 = marginal[v]
+        # marginal[v] = (P(top bits = v, bit j = 0), the same at bit j = 1),
+        # lower bits summed out
+        marginal = probs.reshape(1 << (n - 1 - j), 2, 1 << j).sum(axis=2).tolist()
+        for v, (p0, p1) in enumerate(marginal):
             if p0 + p1 <= _ZERO_PROB or p1 <= _ZERO_PROB:
                 continue
             theta = 2.0 * math.atan2(math.sqrt(p1), math.sqrt(p0))
-            controls = [(j + 1 + t, (v >> t) & 1) for t in range(n - 1 - j)]
-            gates.append(ry(j, theta, controls))
+            gates.append(_tree_gate("RY", n, j, v).with_angle(theta))
 
     phases = np.where(np.abs(amps) > 1e-12, np.angle(amps), 0.0)
     if np.max(np.abs(phases)) > 1e-12:
         level = phases.copy()
         for j in range(n):
             pairs = level.reshape(-1, 2)
-            for v in range(pairs.shape[0]):
-                delta = pairs[v, 1] - pairs[v, 0]
+            for v, delta in enumerate((pairs[:, 1] - pairs[:, 0]).tolist()):
                 if abs(delta) > 1e-12:
-                    controls = [(j + 1 + t, (v >> t) & 1) for t in range(n - 1 - j)]
-                    gates.append(rz(j, delta, controls))
+                    gates.append(_tree_gate("RZ", n, j, v).with_angle(delta))
             level = pairs.mean(axis=1)  # common phase, pushed one level up
 
     return Circuit(n, tuple(gates))
+
+
+# a tree rotation is fixed by its level and prefix up to its angle, so each
+# is validated once, at angle 0, and re-angled for every state after that;
+# a width has at most 2^n - 1 of each kind
+@functools.lru_cache(maxsize=None)
+def _tree_gate(kind: str, n: int, j: int, v: int) -> Gate:
+    """Rotation on qubit j, controlled by the n-1-j qubits above it at prefix v."""
+    controls = [(j + 1 + t, (v >> t) & 1) for t in range(n - 1 - j)]
+    return Gate(kind, (j,), controls, 0.0)
 
 
 def exact_loader(db: Database) -> Circuit:
@@ -252,12 +257,18 @@ def popcount_operator(layout: RegisterLayout) -> Circuit:
     One controlled +1 incrementer per sample qubit, each a descending
     carry-style chain of multi-controlled X gates. Assumes the distance
     register starts in |0>^k; the count never overflows since
-    popcount <= n < 2^k.
+    popcount <= n < 2^k. A carry into bit m needs the count's low m bits
+    all 1, so a count of at least 2^m - 1. Before the i-th incrementer
+    (i from 1) the count is at most i - 1, so that happens only where
+    2^m <= i, and each chain stops below bit i.bit_length(): the operator
+    has sum_i min(k, bitlen(i)) gates instead of n k. That is exact on
+    every |s, 0> input, the only inputs the search gives it; on a nonzero
+    count it is some other permutation.
     """
     gates = []
     dist = list(layout.distance)
-    for s in layout.sample:
-        for m in range(layout.k - 1, -1, -1):
+    for i, s in enumerate(layout.sample, start=1):
+        for m in range(min(layout.k, i.bit_length()) - 1, -1, -1):
             controls = [(s, 1)] + [(dist[t], 1) for t in range(m)]
             gates.append(mcx(controls, dist[m]))
     return Circuit(layout.total, tuple(gates))
@@ -266,10 +277,13 @@ def popcount_operator(layout: RegisterLayout) -> Circuit:
 def initialisation_unitary(
     db_loader: Circuit, target: TargetSequence, layout: RegisterLayout
 ) -> Circuit:
-    """Full state preparation: database load, target load, XOR, popcount.
+    """Full state preparation: target load, database load, XOR, popcount.
 
     ``db_loader`` acts on the n data qubits; it may prepare the database
-    superposition exactly or approximately (a synthesized loader).
+    superposition exactly or approximately (a synthesized loader). The
+    target load acts on the sample qubits alone, so it commutes with the
+    loader; it comes first so that ``grover.diffusion`` can fold its X
+    gates into the reflection's sign flip.
     """
     if db_loader.num_qubits != layout.n:
         raise ValueError(
@@ -277,8 +291,8 @@ def initialisation_unitary(
         )
     embedded = Circuit(layout.total, db_loader.gates)
     return concat(
-        embedded,
         target_loader(target, layout),
+        embedded,
         entangler(layout),
         popcount_operator(layout),
     )

@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass, field
 from itertools import chain
 from math import cos, sin
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,6 +32,7 @@ _Z_LIKE = frozenset({"Z", "MCZ"})
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 _PACK_SELECT = struct.Struct("4q").pack
 _WHOLE_AXIS = slice(None)
+_MAX_QUBIT = attrgetter("max_qubit")
 
 
 def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
@@ -203,10 +205,14 @@ class Circuit:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if g.max_qubit >= self.num_qubits:
-                _raise_out_of_range(g, self.num_qubits)
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
+        # one C-level pass for the common, valid case; the loop runs only to
+        # name the offending gate
+        if gates and max(map(_MAX_QUBIT, gates)) >= self.num_qubits:
+            _raise_out_of_range(
+                next(g for g in gates if g.max_qubit >= self.num_qubits), self.num_qubits
+            )
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -165,6 +165,54 @@ def test_summarize_groups_and_skips_errors():
     assert rows[1].n == 4
 
 
+def test_summarize_counts_suboptimal_and_degraded_trials():
+    def record(trial, optimal, degraded, error=None):
+        if error:
+            return SweepRecord(3, 2, 0.5, None, trial, None, None, 1, None, trial, error)
+        return SweepRecord(3, 2, 0.5, 0.5, trial, 0.7, 1 if optimal else 2, 1, 1, trial, None,
+                           degraded, optimal)
+
+    (row,) = summarize(
+        [
+            record(0, True, False),
+            record(1, False, False),
+            record(2, False, True),
+            record(3, True, False),
+            record(4, False, False, error="ValueError: x"),
+        ]
+    )
+    assert (row.trials, row.suboptimal, row.degraded) == (4, 2, 1)
+
+
+def test_sweep_records_carry_the_magnitude_fidelity(monkeypatch):
+    # the overlap of the magnitudes, recomputed here from the loader the
+    # trial builds; phases only lower achieved_fidelity
+    loaders = []
+
+    def spy(*args, **kwargs):
+        loaders.append((args[0], calibrated_loader(*args, **kwargs)))
+        return loaders[-1][1]
+
+    monkeypatch.setattr(experiments, "calibrated_loader", spy)
+    for fidelity_asked in (0.3, 0.8, 1.0):
+        record = run_sweep_trial(4, fidelity_asked, trial_seed=77, trial=0, shots=256)
+        db, loader = loaders[-1]
+        ideal = np.abs(database_state(db).amplitudes)
+        loaded = np.abs(run_circuit(loader).amplitudes)
+        assert math.isclose(record.magnitude_fidelity, np.dot(ideal, loaded) ** 2, abs_tol=1e-12)
+        assert record.magnitude_fidelity >= record.achieved_fidelity - 1e-12
+        assert list(record.__dict__)[-1] == "magnitude_fidelity"
+    assert record.magnitude_fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def refusing_loader(*args, **kwargs):
+        raise RuntimeError("no loader")
+
+    monkeypatch.setattr(experiments, "calibrated_loader", refusing_loader)
+    failed = run_sweep_trial(4, 0.5, trial_seed=77, trial=0, shots=256)
+    assert failed.error == "RuntimeError: no loader"
+    assert failed.magnitude_fidelity is None
+
+
 def test_fidelity_sweep_small_grid(tmp_path):
     config = SweepConfig(qubit_sizes=(3,), fidelities=(0.6, 1.0), trials_per_point=2, seed=5)
     result = fidelity_sweep(config, mode="fast")
@@ -181,7 +229,7 @@ def test_fidelity_sweep_small_grid(tmp_path):
     assert (out / "summary.csv").exists()
     assert (out / "accuracy_n3.dat").exists()
     header = (out / "summary.csv").read_text().splitlines()[0]
-    assert header == "n,N,fidelity,mean_accuracy,std_accuracy,trials"
+    assert header == "n,N,fidelity,mean_accuracy,std_accuracy,trials,suboptimal,degraded"
     lines = (out / "records.jsonl").read_text().splitlines()
     assert len(lines) == 4
     parsed = json.loads(lines[0])
@@ -237,7 +285,7 @@ def test_sweep_records_carry_the_optimal_flag(tmp_path):
     assert set(flags) == {False, True}
     write_sweep_files(result, tmp_path)
     lines = (tmp_path / "records.jsonl").read_text().splitlines()
-    assert [list(json.loads(line))[-1] for line in lines] == ["optimal"] * len(lines)
+    assert [list(json.loads(line))[-2] for line in lines] == ["optimal"] * len(lines)
     assert [json.loads(line)["optimal"] for line in lines] == flags
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from qsalign.experiments import calibrated_loader, random_database, random_target
@@ -32,9 +32,13 @@ from qsalign.simcore import (
     Statevector,
     apply_circuit,
     basis_state,
+    cnot,
     concat,
     invert,
+    mcx,
     mcz,
+    ry,
+    rz,
     run_circuit,
     x,
 )
@@ -151,6 +155,76 @@ def test_diffusion_reflects_about_prepared_state():
     v /= np.linalg.norm(v)
     out = apply_circuit(Statevector(layout.total, v), diffusion(prep))
     assert np.allclose(out.amplitudes, v, atol=1e-10)
+
+
+@st.composite
+def _preparations(draw):
+    """A leading run of uncontrolled X gates, repeats allowed, then a mixing body."""
+    q = draw(st.integers(2, 7))
+    qubits = st.integers(0, q - 1)
+    lead = draw(st.lists(qubits, max_size=2 * q))
+    body = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["RY", "RZ", "CNOT", "MCX"]))
+        order = draw(st.permutations(range(q)))
+        angle = draw(st.floats(-math.pi, math.pi))
+        if kind == "CNOT":
+            body.append(cnot(order[1], order[0]))
+            continue
+        controls = [(c, draw(st.integers(0, 1))) for c in order[1 : draw(st.integers(1, q))]]
+        if kind == "MCX":
+            body.append(mcx(controls, order[0]))
+        else:
+            body.append((ry if kind == "RY" else rz)(order[0], angle, controls))
+    return Circuit(q, tuple(x(t) for t in lead) + tuple(body))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prep=_preparations(), seed=st.integers(0, 2**32 - 1))
+@example(prep=Circuit(3, (x(1), x(1), ry(0, 0.4), cnot(0, 2))), seed=0)  # parity 0 on qubit 1
+@example(prep=Circuit(3, (x(2), x(0), x(2), ry(1, 0.4))), seed=1)  # bits 1, 0, 0
+@example(prep=Circuit(3, (ry(1, 0.4), x(0))), seed=2)  # no leading run
+def test_folded_diffusion_equals_the_unfolded_reflection(prep, seed):
+    # the leading X run X folds into the sign flip: X S X is the reflection
+    # about X|0...0>, whose bit on each qubit is the parity of its X gates
+    unfolded = concat(invert(prep), zero_reflection(prep.num_qubits), prep)
+    folded = diffusion(prep)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << prep.num_qubits) + 1j * rng.normal(size=1 << prep.num_qubits)
+    state = Statevector(prep.num_qubits, amps / np.linalg.norm(amps))
+    got = apply_circuit(state, folded).amplitudes
+    expected = apply_circuit(state, unfolded).amplitudes
+    assert np.max(np.abs(got - expected)) <= 1e-15
+    # the sign flip is one MCZ, X-wrapped only when every parity is 0
+    lead = next((i for i, g in enumerate(prep.gates) if g.kind != "X" or g.controls), len(prep))
+    flipped = {q for q in range(prep.num_qubits)
+               if sum(g.targets[0] == q for g in prep.gates[:lead]) % 2}
+    assert len(folded) == 2 * (len(prep) - lead) + (1 if flipped else 3)
+
+
+def test_diffusion_reflects_about_the_loaded_target_with_one_mcz():
+    # the target load leads the preparation, so the sign flip is one MCZ on
+    # |0, t, 0> and no X gate of the target load survives in the layer
+    layout = RegisterLayout(3)
+    db = Database(3, ("101", "010", "000"))
+    prep = initialisation_unitary(exact_loader(db), TargetSequence("110"), layout)
+    layer = grover_layer(prep, OracleSpec(1, layout))
+    (flip,) = [g for g in layer.gates if g.kind == "MCZ" and len(g.controls) == layout.total - 1]
+    pattern = sorted(flip.controls + ((flip.targets[0], 1),))
+    assert pattern == [(q, (layout.pack_index(0, 0b110, 0) >> q) & 1) for q in range(layout.total)]
+    assert not [g for g in layer.gates if g.kind == "X"]
+
+
+def test_layer_gate_counts_pinned():
+    # seed-0 instances at delta = 1, the README's per-layer gate table
+    counts = []
+    for n in range(3, 9):
+        layout = RegisterLayout(n)
+        prep = initialisation_unitary(
+            exact_loader(random_database(n, "floor", 0)), random_target(n, 0), layout
+        )
+        counts.append(len(grover_layer(prep, OracleSpec(1, layout))))
+    assert counts == [26, 38, 52, 86, 132, 184]
 
 
 def test_grover_layer_width_check():

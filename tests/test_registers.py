@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsalign.registers import (
     DNA,
@@ -21,11 +23,15 @@ from qsalign.registers import (
     target_loader,
 )
 from qsalign.simcore import (
+    Circuit,
     Statevector,
     apply_circuit,
     basis_state,
     fidelity,
+    mcx,
+    ry,
     run_circuit,
+    rz,
     zero_state,
 )
 
@@ -148,6 +154,58 @@ def test_state_preparation_handles_zeros():
     assert fidelity(prepared, Statevector(3, amps)) > 1 - 1e-12
 
 
+def _reference_state_preparation(state):
+    # the per-branch construction: every prefix of every level visited in
+    # Python, each gate built from its control list
+    n = state.num_qubits
+    amps = state.amplitudes
+    probs = np.abs(amps) ** 2
+    gates = []
+    for j in range(n - 1, -1, -1):
+        marginal = probs.reshape(1 << (n - 1 - j), 2, 1 << j).sum(axis=2)
+        for v in range(marginal.shape[0]):
+            p0, p1 = marginal[v]
+            if p0 + p1 <= 1e-14 or p1 <= 1e-14:
+                continue
+            theta = 2.0 * math.atan2(math.sqrt(p1), math.sqrt(p0))
+            gates.append(ry(j, theta, [(j + 1 + t, (v >> t) & 1) for t in range(n - 1 - j)]))
+    phases = np.where(np.abs(amps) > 1e-12, np.angle(amps), 0.0)
+    if np.max(np.abs(phases)) > 1e-12:
+        level = phases.copy()
+        for j in range(n):
+            pairs = level.reshape(-1, 2)
+            for v in range(pairs.shape[0]):
+                delta = pairs[v, 1] - pairs[v, 0]
+                if abs(delta) > 1e-12:
+                    controls = [(j + 1 + t, (v >> t) & 1) for t in range(n - 1 - j)]
+                    gates.append(rz(j, delta, controls))
+            level = pairs.mean(axis=1)
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["sparse", "dense", "phased"]),
+)
+def test_state_preparation_equals_the_per_branch_construction(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    if kind == "sparse":
+        amps = np.zeros(dim, dtype=complex)
+        amps[rng.choice(dim, size=int(rng.integers(1, dim + 1)) // 2 or 1, replace=False)] = 1.0
+    else:
+        amps = np.abs(rng.normal(size=dim)).astype(complex)
+        if kind == "phased":
+            amps *= np.exp(2j * np.pi * rng.random(dim))
+    state = Statevector(n, amps / np.linalg.norm(amps))
+    circuit, reference = state_preparation_circuit(state), _reference_state_preparation(state)
+    # == compares angles as floats, so hex also tells -0.0 from 0.0
+    assert circuit == reference
+    assert [g.angle.hex() for g in circuit.gates] == [g.angle.hex() for g in reference.gates]
+
+
 def test_exact_loader_matches_database_state():
     db = Database(4, ("0011", "1100", "0110", "1111", "0000"))
     assert fidelity(run_circuit(exact_loader(db)), database_state(db)) > 1 - 1e-12
@@ -177,6 +235,36 @@ def test_popcount_exhaustive_small():
         out = apply_circuit(start, circuit)
         expected = layout.pack_index(0, s, bin(s).count("1"))
         assert np.isclose(abs(out.amplitudes[expected]), 1.0)
+
+
+def _reference_popcount(layout):
+    # the full chain: every incrementer runs all k carries
+    dist = list(layout.distance)
+    gates = [
+        mcx([(s, 1)] + [(dist[t], 1) for t in range(m)], dist[m])
+        for s in layout.sample
+        for m in range(layout.k - 1, -1, -1)
+    ]
+    return Circuit(layout.total, tuple(gates))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_short_popcount_maps_every_sample_as_the_full_chain(n):
+    # the i-th incrementer meets a count of at most i - 1, so the carries it
+    # drops could never fire on |s, 0>: one labelled run over every s
+    layout = RegisterLayout(n)
+    circuit = popcount_operator(layout)
+    assert len(circuit) == sum(min(layout.k, i.bit_length()) for i in range(1, n + 1))
+    rng = np.random.default_rng(n)
+    amps = np.zeros(1 << layout.total, dtype=complex)
+    amps[layout.pack_index(0, np.arange(1 << n), 0)] = np.exp(2j * np.pi * rng.random(1 << n))
+    state = Statevector(layout.total, amps)
+    got = apply_circuit(state, circuit).amplitudes
+    assert np.array_equal(got, apply_circuit(state, _reference_popcount(layout)).amplitudes)
+    weights = np.array([bin(s).count("1") for s in range(1 << n)])
+    expected = np.zeros_like(amps)
+    expected[layout.pack_index(0, np.arange(1 << n), weights)] = amps[amps != 0]
+    assert np.array_equal(got, expected)
 
 
 def test_popcount_is_permutation():
