@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grover import (
-    OracleSpec,
     diffusion,
     grover_layer,
     marked_probability,
@@ -125,7 +124,7 @@ def check_closed_form(sizes, per_size: int, seed: int) -> CheckResult:
             delta = int(choices[rng.integers(len(choices))])
             c = count_matches(db, target, delta)
             prep = initialisation_unitary(exact_loader(db), target, layout)
-            layer = grover_layer(prep, OracleSpec(delta, layout))
+            layer = grover_layer(prep, phase_oracle(layout, delta))
             state = run_circuit(prep)
             for p in range(9):
                 if p:  # a layer only between scores: no state past p = 8 is built
@@ -151,7 +150,7 @@ def check_reflections(n: int, seed: int) -> CheckResult:
         amps = rng.normal(size=1 << layout.total) + 1j * rng.normal(size=1 << layout.total)
         amps /= np.linalg.norm(amps)
         state = Statevector(layout.total, amps)
-        for circuit in (phase_oracle(OracleSpec(delta, layout)), diffusion(prep)):
+        for circuit in (phase_oracle(layout, delta), diffusion(prep)):
             out = apply_circuit(apply_circuit(state, circuit), circuit)
             worst = max(worst, float(np.abs(out.amplitudes - amps).max()))
     ok = worst < 1e-10

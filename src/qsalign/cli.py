@@ -62,6 +62,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text: str) -> int:
+    """--seed, shared by every subcommand: SeedSequence takes no negative entropy."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _read_lines(path: str) -> list[str]:
     text = Path(path).read_text()
     stripped = (ln.strip() for ln in text.splitlines())
@@ -205,6 +216,8 @@ def _cmd_layers(args) -> int:
         check_size(args.n)
         if args.p_max < 0:
             raise ValueError(f"--p-max must be >= 0, got {args.p_max}")
+        if args.shots < 1:
+            raise ValueError(f"--shots must be >= 1, got {args.shots}")
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -274,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--target", required=True, help="bit string, or symbols with --alphabet")
     run_p.add_argument("--alphabet", help="file with one symbol per line; encodes db and target")
     run_p.add_argument("--shots", type=int, default=4096)
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--seed", type=_seed, default=0)
     run_p.add_argument("--repeats", type=int, default=1, help="sampling attempts per probe distance")
     run_p.add_argument("--layer-policy", choices=sorted(_POLICIES), default="best")
     run_p.add_argument("--fidelity", type=float, default=1.0, help="preparation fidelity")
@@ -295,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated targets (default 0.05..1.0 step 0.05)")
     sweep_p.add_argument("--trials", type=int, default=10)
     sweep_p.add_argument("--shots", type=int, default=4096)
-    sweep_p.add_argument("--seed", type=int, default=0)
+    sweep_p.add_argument("--seed", type=_seed, default=0)
     sweep_p.add_argument("--db-size-rule", choices=("floor", "ceil"), default="floor")
     sweep_p.add_argument("--layer-policy", choices=sorted(_POLICIES), default="paper")
     mode = sweep_p.add_mutually_exclusive_group()
@@ -311,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     layers_p.add_argument("--n", type=int, required=True, help="qubits per entry")
     layers_p.add_argument("--p-max", type=int, default=8)
     layers_p.add_argument("--shots", type=int, default=4096)
-    layers_p.add_argument("--seed", type=int, default=0)
+    layers_p.add_argument("--seed", type=_seed, default=0)
     layers_p.add_argument("--out", help="also write the JSON lines here")
     layers_p.set_defaults(func=_cmd_layers)
 
@@ -321,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     gasp_p.add_argument("--fidelity-target", type=float, default=0.99)
     gasp_p.add_argument("--population", type=int, default=100)
     gasp_p.add_argument("--generations", type=int, default=200)
-    gasp_p.add_argument("--seed", type=int, default=0)
+    gasp_p.add_argument("--seed", type=_seed, default=0)
     gasp_p.add_argument("--out", help="write the circuit text here")
     gasp_p.set_defaults(func=_cmd_gasp)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .gasp import MAX_QUBITS, GaConfig, gasp_prepare, perturb_state
-from .grover import LAYER_POLICIES, OracleSpec, grover_layer, marked_probability
+from .grover import LAYER_POLICIES, grover_layer, marked_probability, phase_oracle
 from .qsa import QsaConfig, accuracy, classical_min_hamming, run_qsa
 from .registers import (
     Database,
@@ -180,7 +180,7 @@ def layer_study(n: int, p_max: int, seed=None, shots: int = 4096) -> list[LayerP
     prep = initialisation_unitary(exact_loader(db), target, layout)
     reference = {index_to_bits(layout.pack_index(int(target.bits, 2), 0, 0), layout.total): 1.0}
 
-    layer = grover_layer(prep, OracleSpec(0, layout))
+    layer = grover_layer(prep, phase_oracle(layout, 0))
     state = run_circuit(prep)
     points = []
     for p, shot_seed in enumerate(shot_seeds):

@@ -57,6 +57,9 @@ class GaConfig:
     def __post_init__(self):
         if self.population_size <= _ELITISM_COUNT:
             raise ValueError(f"population_size must be > {_ELITISM_COUNT}, the elite count")
+        # zero generations scores the first population and returns its best
+        if self.max_generations < 0:
+            raise ValueError("max_generations must be >= 0")
         if not 0.0 < self.fidelity_target <= 1.0:
             raise ValueError("fidelity_target must lie in (0, 1]")
 

@@ -1,11 +1,13 @@
 """Phase oracle, diffusion, layer assembly, and layer-count theory.
 
-The oracle flips the sign of branches whose distance register equals the
-probe distance delta; diffusion reflects about the full prepared state by
-conjugating a reflection about a basis state with the initialisation
-circuit past its leading X gates: about |0, t, 0> for an alignment, t the
-target. Both sign flips are one MCZ, and both are reflections, so each
-squares to the identity (up to global phase, which nothing here observes).
+A layer is an oracle circuit followed by the diffusion; amplification
+never looks inside the oracle. phase_oracle flips the sign of branches
+whose distance register equals the probe distance delta. diffusion
+reflects about the full prepared state by conjugating a reflection about
+a basis state with the initialisation circuit past its leading X gates:
+about |0, t, 0> for an alignment, t the target. Both sign flips are one
+MCZ, and both are reflections, so each squares to the identity (up to
+global phase, which nothing here observes).
 
 make_plan is the one layer planner. Both of its policies scan from zero
 layers, so a probe whose oracle marks every entry runs none.
@@ -25,32 +27,12 @@ LAYER_POLICIES = ("paper_ceil", "best_integer")
 
 
 @dataclass(frozen=True)
-class OracleSpec:
-    """Probe distance and the register layout it applies to."""
-
-    delta: int
-    layout: RegisterLayout
-
-    def __post_init__(self):
-        if not 0 <= self.delta <= self.layout.n:
-            raise ValueError(f"probe distance {self.delta} outside [0, {self.layout.n}]")
-
-
-@dataclass(frozen=True)
 class GroverPlan:
     """Layer budget for one search pass: N entries, c of them marked."""
 
     database_size: int
     matches: int
     layers: int
-
-    def __post_init__(self):
-        if not 1 <= self.matches <= self.database_size:
-            raise ValueError(
-                f"need 1 <= matches <= database size, got {self.matches}/{self.database_size}"
-            )
-        if self.layers < 0:
-            raise ValueError(f"layer count must be >= 0, got {self.layers}")
 
 
 # built once per key: a pattern is one probe's distance bits or one
@@ -70,22 +52,12 @@ def _flip_sign(num_qubits: int, pattern: tuple[tuple[int, int], ...]) -> Circuit
     return Circuit(num_qubits, wrap + (core,) + wrap)
 
 
-def phase_oracle(spec: OracleSpec) -> Circuit:
+def phase_oracle(layout: RegisterLayout, delta: int) -> Circuit:
     """Multiply by -1 exactly on basis states whose distance register is delta."""
-    layout = spec.layout
-    pattern = tuple((q, (spec.delta >> i) & 1) for i, q in enumerate(layout.distance))
+    if not 0 <= delta <= layout.n:
+        raise ValueError(f"probe distance {delta} outside [0, {layout.n}]")
+    pattern = tuple((q, (delta >> i) & 1) for i, q in enumerate(layout.distance))
     return _flip_sign(layout.total, pattern)
-
-
-def zero_reflection(num_qubits: int) -> Circuit:
-    """Reflection about |0...0>: the oracle's sign-flip MCZ at every bit 0.
-
-    Three gates at any width, the MCZ on qubit 0 between two X gates.
-    Equals -(2|0><0| - I); the overall sign is an unobservable global phase.
-    ``diffusion`` folds a preparation's leading X gates into this flip, and
-    equals undoing the whole preparation, applying this, and redoing it.
-    """
-    return _flip_sign(num_qubits, tuple((q, 0) for q in range(num_qubits)))
 
 
 def diffusion(prep: Circuit) -> Circuit:
@@ -97,7 +69,8 @@ def diffusion(prep: Circuit) -> Circuit:
     X S X is the reflection about the basis state X|0...0>, whose bit on
     each qubit is the parity of its X gates. So the diffusion undoes R,
     flips the sign of that one basis state, and redoes R. Equals
-    2|psi><psi| - I up to global phase.
+    2|psi><psi| - I up to global phase. An empty preparation gives the
+    3-gate reflection about |0...0>: the MCZ on qubit 0 between two X gates.
     """
     gates = prep.gates
     bits = [0] * prep.num_qubits
@@ -109,20 +82,16 @@ def diffusion(prep: Circuit) -> Circuit:
     return concat(invert(rest), _flip_sign(prep.num_qubits, tuple(enumerate(bits))), rest)
 
 
-def grover_layer(prep: Circuit, spec: OracleSpec) -> Circuit:
-    """One amplification layer: oracle query, then diffusion."""
-    if prep.num_qubits != spec.layout.total:
-        raise ValueError(
-            f"preparation circuit spans {prep.num_qubits} qubits, layout has {spec.layout.total}"
-        )
-    return concat(phase_oracle(spec), diffusion(prep))
+def grover_layer(prep: Circuit, oracle: Circuit) -> Circuit:
+    """One amplification layer: the oracle query, then diffusion about ``prep``."""
+    return concat(oracle, diffusion(prep))
 
 
-def search_circuit(prep: Circuit, spec: OracleSpec, layers: int) -> Circuit:
+def search_circuit(prep: Circuit, oracle: Circuit, layers: int) -> Circuit:
     """Full pass: preparation followed by ``layers`` amplification layers."""
     if layers < 0:
         raise ValueError("layer count must be >= 0")
-    layer = grover_layer(prep, spec)
+    layer = grover_layer(prep, oracle)
     return Circuit(prep.num_qubits, prep.gates + layer.gates * layers)
 
 

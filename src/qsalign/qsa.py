@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grover import LAYER_POLICIES, OracleSpec, make_plan, search_circuit, success_probability
+from .grover import LAYER_POLICIES, make_plan, phase_oracle, search_circuit, success_probability
 from .registers import (
     Database,
     RegisterLayout,
@@ -192,7 +192,7 @@ def run_qsa(
             layers = 1
         else:
             layers = make_plan(db.size, matches[delta], config.layer_policy).layers
-        final = run_circuit(search_circuit(prep, OracleSpec(delta, layout), layers))
+        final = run_circuit(search_circuit(prep, phase_oracle(layout, delta), layers))
         for _ in range(config.repeats):
             delta_trace.append(delta)
             counts = sample_counts(final, config.shots, seed_root.spawn(1)[0])

@@ -14,6 +14,7 @@ concurrently without coordination.
 """
 from __future__ import annotations
 
+import ast
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
@@ -478,14 +479,6 @@ def serialize_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_listish(text: str) -> tuple:
-    import ast
-
-    if text == "[]":
-        return ()
-    return tuple(ast.literal_eval(text.replace("[", "(").replace("]", ",)")))
-
-
 def parse_circuit(text: str) -> Circuit:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("qubits="):
@@ -496,8 +489,8 @@ def parse_circuit(text: str) -> Circuit:
         fields = ln.split()
         kind = fields[0]
         parts = dict(f.split("=", 1) for f in fields[1:])
-        targets = _parse_listish(parts["targets"])
-        controls = _parse_listish(parts.get("controls", "[]"))
+        targets = tuple(ast.literal_eval(parts["targets"]))
+        controls = tuple(ast.literal_eval(parts.get("controls", "[]")))
         angle = float(parts["angle"]) if "angle" in parts else None
         gates.append(Gate(kind, targets, controls, angle))
     return Circuit(num_qubits, tuple(gates))

@@ -226,6 +226,39 @@ def test_oversized_entries_refused_before_allocation(tmp_path, monkeypatch, caps
     assert [r.getMessage() for r in caplog.records] == ["allocation attempted"] * 2
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "layers", "gasp"])
+def test_negative_seed_refused_before_anything_is_built(command, db3, monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise _Allocated("built something")
+
+    for name in ("_load_database", "calibrated_loader", "run_qsa", "fidelity_sweep",
+                 "layer_study", "gasp_prepare"):
+        monkeypatch.setattr(cli, name, build)
+    argv = {
+        "run": ["run", "--db", db3, "--target", "101"],
+        "sweep": ["sweep", "--sizes", "3"],
+        "layers": ["layers", "--n", "3"],
+        "gasp": ["gasp", "--db", db3],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 1
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_layers_zero_shots_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "layer_study", lambda *a, **k: pytest.fail("study ran"))
+    assert main(["layers", "--n", "3", "--shots", "0"]) == 1
+    assert "--shots must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_gasp_negative_generations_exit_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "gasp_prepare", lambda *a, **k: pytest.fail("synthesis ran"))
+    db = _write(tmp_path / "db.txt", "00\n11\n")
+    assert main(["gasp", "--db", db, "--generations", "-1"]) == 1
+    assert "max_generations must be >= 0" in capsys.readouterr().err
+
+
 def test_layers_json_lines(tmp_path, capsys):
     out = tmp_path / "layers.jsonl"
     rc = main(["layers", "--n", "3", "--p-max", "2", "--shots", "256", "--out", str(out)])

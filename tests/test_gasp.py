@@ -31,6 +31,9 @@ def test_config_validation():
             GaConfig(population_size=size)
     with pytest.raises(ValueError):
         GaConfig(fidelity_target=0.0)
+    GaConfig(max_generations=0)
+    with pytest.raises(ValueError):
+        GaConfig(max_generations=-1)
 
 
 def test_genome_circuit_mapping():
@@ -93,6 +96,23 @@ def test_gasp_trivial_target_converges_immediately():
     assert result.converged
     assert result.fidelity == 1.0
     assert result.generations == 0  # the seeded empty genome already wins
+
+
+def test_zero_generations_returns_the_first_population_best(monkeypatch):
+    scored = []
+    score = gasp._score
+
+    def spy(genomes, target):
+        score(genomes, target)
+        scored.append([g.fitness for g in genomes])
+
+    monkeypatch.setattr(gasp, "_score", spy)
+    target = database_state(random_database(3, "floor", 0))
+    result = gasp_prepare(target, GaConfig(max_generations=0, rng_seed=0))
+    assert len(scored) == 1 and len(scored[0]) == 100
+    assert result.generations == 0
+    assert result.fidelity == max(scored[0])
+    assert not result.converged
 
 
 def test_gasp_bell_state():

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from qsalign.experiments import calibrated_loader, random_database, random_target
 from qsalign.grover import (
-    GroverPlan,
-    OracleSpec,
     diffusion,
     grover_layer,
     make_plan,
@@ -17,7 +15,6 @@ from qsalign.grover import (
     phase_oracle,
     search_circuit,
     success_probability,
-    zero_reflection,
 )
 from qsalign.registers import (
     Database,
@@ -44,12 +41,11 @@ from qsalign.simcore import (
 )
 
 
-def _reference_phase_oracle(spec):
+def _reference_phase_oracle(layout, delta):
     # reference: one MCZ on the lowest 1-bit of delta, or on the lowest
     # distance qubit X-conjugated when delta is zero
-    layout = spec.layout
     dist = list(layout.distance)
-    bits = [(spec.delta >> i) & 1 for i in range(layout.k)]
+    bits = [(delta >> i) & 1 for i in range(layout.k)]
     if any(bits):
         t = bits.index(1)
         controls = [(dist[i], bits[i]) for i in range(layout.k) if i != t]
@@ -65,25 +61,25 @@ def _reference_zero_reflection(num_qubits):
     return Circuit(num_qubits, wrap + (core,) + wrap)
 
 
-def _reference_layer(prep, spec):
+def _reference_layer(prep, layout, delta):
     reflection = _reference_zero_reflection(prep.num_qubits)
-    return concat(_reference_phase_oracle(spec), invert(prep), reflection, prep)
+    return concat(_reference_phase_oracle(layout, delta), invert(prep), reflection, prep)
 
 
-def test_oracle_spec_validation():
+def test_phase_oracle_delta_range():
     layout = RegisterLayout(3)
-    OracleSpec(0, layout)
-    OracleSpec(3, layout)
+    phase_oracle(layout, 0)
+    phase_oracle(layout, 3)
     with pytest.raises(ValueError):
-        OracleSpec(-1, layout)
+        phase_oracle(layout, -1)
     with pytest.raises(ValueError):
-        OracleSpec(4, layout)
+        phase_oracle(layout, 4)
 
 
 def test_phase_oracle_flips_only_matching_distance():
     layout = RegisterLayout(3)
     for delta in range(4):
-        circuit = phase_oracle(OracleSpec(delta, layout))
+        circuit = phase_oracle(layout, delta)
         for idx in (0, 1, 5, 64, 85, 170, 255):
             state = apply_circuit(basis_state(layout.total, idx), circuit)
             sign = -1.0 if idx >> (2 * layout.n) == delta else 1.0
@@ -94,13 +90,13 @@ def test_phase_oracle_matches_reference_construction():
     for n in range(1, 9):
         layout = RegisterLayout(n)
         for delta in range(n + 1):
-            spec = OracleSpec(delta, layout)
-            assert phase_oracle(spec) == _reference_phase_oracle(spec), (n, delta)
+            assert phase_oracle(layout, delta) == _reference_phase_oracle(layout, delta), (n, delta)
 
 
 def test_zero_reflection_signs():
+    # the diffusion of an empty preparation is the reflection about |0...0>
     for q in range(1, 11):
-        circuit = zero_reflection(q)
+        circuit = diffusion(Circuit(q, ()))
         assert len(circuit.gates) == 3, q
         for idx in range(1 << q):
             state = apply_circuit(basis_state(q, idx), circuit)
@@ -128,15 +124,15 @@ def test_search_states_bit_identical_to_reference_reflections(
     layout = RegisterLayout(n)
     prep = initialisation_unitary(loader, target, layout)
     for delta in range(n + 1):
-        spec = OracleSpec(delta, layout)
-        reference_layer = _reference_layer(prep, spec)
+        oracle = phase_oracle(layout, delta)
+        reference_layer = _reference_layer(prep, layout, delta)
         # applying the reference pass one layer a step runs its gates in
         # the order run_circuit would
         expected = run_circuit(prep)
         for p in range(4):
             if p:
                 expected = apply_circuit(expected, reference_layer)
-            got = run_circuit(search_circuit(prep, spec, p))
+            got = run_circuit(search_circuit(prep, oracle, p))
             assert np.array_equal(got.amplitudes, expected.amplitudes), (delta, p)
 
 
@@ -187,7 +183,7 @@ def _preparations(draw):
 def test_folded_diffusion_equals_the_unfolded_reflection(prep, seed):
     # the leading X run X folds into the sign flip: X S X is the reflection
     # about X|0...0>, whose bit on each qubit is the parity of its X gates
-    unfolded = concat(invert(prep), zero_reflection(prep.num_qubits), prep)
+    unfolded = concat(invert(prep), _reference_zero_reflection(prep.num_qubits), prep)
     folded = diffusion(prep)
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << prep.num_qubits) + 1j * rng.normal(size=1 << prep.num_qubits)
@@ -208,7 +204,7 @@ def test_diffusion_reflects_about_the_loaded_target_with_one_mcz():
     layout = RegisterLayout(3)
     db = Database(3, ("101", "010", "000"))
     prep = initialisation_unitary(exact_loader(db), TargetSequence("110"), layout)
-    layer = grover_layer(prep, OracleSpec(1, layout))
+    layer = grover_layer(prep, phase_oracle(layout, 1))
     (flip,) = [g for g in layer.gates if g.kind == "MCZ" and len(g.controls) == layout.total - 1]
     pattern = sorted(flip.controls + ((flip.targets[0], 1),))
     assert pattern == [(q, (layout.pack_index(0, 0b110, 0) >> q) & 1) for q in range(layout.total)]
@@ -223,21 +219,21 @@ def test_layer_gate_counts_pinned():
         prep = initialisation_unitary(
             exact_loader(random_database(n, "floor", 0)), random_target(n, 0), layout
         )
-        counts.append(len(grover_layer(prep, OracleSpec(1, layout))))
+        counts.append(len(grover_layer(prep, phase_oracle(layout, 1))))
     assert counts == [26, 38, 52, 86, 132, 184]
 
 
 def test_grover_layer_width_check():
     layout = RegisterLayout(3)
     with pytest.raises(ValueError):
-        grover_layer(Circuit(4, ()), OracleSpec(0, layout))
+        grover_layer(Circuit(4, ()), phase_oracle(layout, 0))
 
 
 def test_search_circuit_zero_layers_is_preparation():
     db = Database(3, ("101", "010"))
     layout = RegisterLayout(3)
     prep = initialisation_unitary(exact_loader(db), TargetSequence("111"), layout)
-    circuit = search_circuit(prep, OracleSpec(1, layout), 0)
+    circuit = search_circuit(prep, phase_oracle(layout, 1), 0)
     assert np.allclose(run_circuit(circuit).amplitudes, run_circuit(prep).amplitudes)
 
 
@@ -245,11 +241,11 @@ def test_search_circuit_matches_layer_by_layer_concatenation():
     db = Database(3, ("101", "010", "000"))
     layout = RegisterLayout(3)
     prep = initialisation_unitary(exact_loader(db), TargetSequence("110"), layout)
-    spec = OracleSpec(2, layout)
-    layer = grover_layer(prep, spec)
+    oracle = phase_oracle(layout, 2)
+    layer = grover_layer(prep, oracle)
     expected = prep
     for p in range(4):
-        assert search_circuit(prep, spec, p) == expected
+        assert search_circuit(prep, oracle, p) == expected
         expected = concat(expected, layer)
 
 
@@ -348,17 +344,12 @@ def test_make_plan_policies():
     plan = make_plan(4, 3, "best_integer")
     assert plan.layers == 0
     assert np.isclose(success_probability(plan.layers, 4, 3), 0.75)
-    assert GroverPlan(4, 1, 0).layers == 0
     with pytest.raises(ValueError):
         make_plan(4, 1, "greedy")
     with pytest.raises(ValueError):
         make_plan(4, 4, "greedy")
     with pytest.raises(ValueError):
         make_plan(4, 0, "paper_ceil")
-    with pytest.raises(ValueError):
-        GroverPlan(4, 1, -1)
-    with pytest.raises(ValueError):
-        GroverPlan(4, 5, 1)
 
 
 def test_marked_probability_hand_state():
@@ -390,9 +381,8 @@ def test_layers_track_closed_form():
         ]
         delta = next(d for d in range(4) if counts[d])
         prep = initialisation_unitary(exact_loader(db), TargetSequence(target), layout)
-        spec = OracleSpec(delta, layout)
         state = run_circuit(prep)
-        layer = grover_layer(prep, spec)
+        layer = grover_layer(prep, phase_oracle(layout, delta))
         for p in range(6):
             predicted = success_probability(p, 3, counts[delta])
             assert np.isclose(marked_probability(state, layout, delta), predicted, atol=1e-9)

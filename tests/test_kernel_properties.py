@@ -21,8 +21,10 @@ from qsalign.simcore import (
     Statevector,
     apply_circuit,
     apply_gate,
+    parse_circuit,
     run_circuit,
     run_sequences,
+    serialize_circuit,
 )
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -152,6 +154,15 @@ def test_inputs_never_mutated_even_when_strided(circuit, seed, step):
     assert np.array_equal(single.amplitudes, _reference_circuit(strided.copy(), first))
     assert np.array_equal(backing, pristine)
     assert state.amplitudes is strided
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_circuit_text_roundtrip_is_exact(circuit):
+    # every kind, controls at both polarities, angles through repr
+    again = parse_circuit(serialize_circuit(circuit))
+    assert again == circuit
+    assert np.array_equal(run_circuit(again).amplitudes, run_circuit(circuit).amplitudes)
 
 
 def _check_batch(num_qubits, sequences):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from qsalign.experiments import calibrated_loader, random_database, random_target
 from qsalign.grover import (
-    OracleSpec,
     grover_layer,
     make_plan,
+    phase_oracle,
     search_circuit,
     success_probability,
 )
@@ -96,7 +96,7 @@ def _assert_ideal_matches_gate_level(db, target):
     prep = initialisation_unitary(exact_loader(db), target, layout)
     for delta in range(db.n + 1):
         for p in range(5):
-            probs = run_circuit(search_circuit(prep, OracleSpec(delta, layout), p)).probabilities()
+            probs = run_circuit(search_circuit(prep, phase_oracle(layout, delta), p)).probabilities()
             ideal = ideal_distribution(db, target, delta, p)
             assert len(ideal) == db.size
             support = np.zeros(probs.size, dtype=bool)
@@ -140,8 +140,8 @@ def test_run_qsa_accuracy_matches_dense_gate_level_reference():
             result = run_qsa(loader, db, target, config)
             layout = RegisterLayout(n)
             prep = initialisation_unitary(exact_loader(db), target, layout)
-            spec = OracleSpec(result.delta_trace[-1], layout)
-            v = run_circuit(search_circuit(prep, spec, result.layers_used)).probabilities()
+            oracle = phase_oracle(layout, result.delta_trace[-1])
+            v = run_circuit(search_circuit(prep, oracle, result.layers_used)).probabilities()
             u = np.zeros_like(v)
             for outcome, count in result.counts.items():
                 u[int(outcome, 2)] = count
@@ -265,7 +265,7 @@ def test_probe_marking_every_entry_runs_no_layer():
     loader = calibrated_loader(db, 0.8, 12)
     layout = RegisterLayout(3)
     prep = initialisation_unitary(loader, target, layout)
-    one_layer = run_circuit(search_circuit(prep, OracleSpec(d_min, layout), 1))
+    one_layer = run_circuit(search_circuit(prep, phase_oracle(layout, d_min), 1))
     ideal = ideal_distribution(db, target, d_min, 1)
     one_layer_accuracy = accuracy(sample_counts(one_layer, 4096, 12), ideal)
     for policy in ("paper_ceil", "best_integer"):
@@ -306,7 +306,7 @@ def test_diagonal_tail_leaves_every_probability(n, instance_seed, requested):
         for circuit in (loader, strip_diagonal_tail(loader))
     ]
     for delta in range(n + 1):
-        layers = [grover_layer(prep, OracleSpec(delta, layout)) for prep in preps]
+        layers = [grover_layer(prep, phase_oracle(layout, delta)) for prep in preps]
         states = [run_circuit(prep) for prep in preps]
         for p in range(4):
             if p:
