@@ -79,6 +79,8 @@ class SweepConfig:
             raise ValueError(f"unknown db size rule {self.db_size_rule!r}")
         if self.layer_policy not in LAYER_POLICIES:
             raise ValueError(f"unknown layer policy {self.layer_policy!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

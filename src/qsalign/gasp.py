@@ -62,6 +62,8 @@ class GaConfig:
             raise ValueError("max_generations must be >= 0")
         if not 0.0 < self.fidelity_target <= 1.0:
             raise ValueError("fidelity_target must lie in (0, 1]")
+        if self.rng_seed is not None and self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,12 @@ def grover_layer(prep: Circuit, oracle: Circuit) -> Circuit:
 
 
 def search_circuit(prep: Circuit, oracle: Circuit, layers: int) -> Circuit:
-    """Full pass: preparation followed by ``layers`` amplification layers."""
+    """Full pass: preparation followed by ``layers`` amplification layers.
+
+    Each oracle sits between the entangler and popcount that end the
+    preparation and every diffusion, and their inverse: ``simcore.apply_circuit``
+    applies that run as one sign flip, with the gate-by-gate amplitudes.
+    """
     if layers < 0:
         raise ValueError("layer count must be >= 0")
     layer = grover_layer(prep, oracle)

@@ -58,6 +58,8 @@ class QsaConfig:
             raise ValueError("repeats must be >= 1")
         if self.layer_policy not in LAYER_POLICIES:
             raise ValueError(f"unknown layer policy {self.layer_policy!r}")
+        if self.rng_seed is not None and self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,10 @@ def run_qsa(
     P'|0>, and each layer is T (D' O) T^-1. The final state is
     T (D' O)^p P'|0>, and T is diagonal and unitary, so |amplitude|^2
     is the same for every basis state.
+
+    Each probe is one ``run_circuit`` call; its amplitudes, and so its
+    samples and the result, are the gate-by-gate values (see
+    ``simcore.apply_circuit``).
     """
     layout = RegisterLayout(db.n)
     seed_root = np.random.SeedSequence(config.rng_seed)

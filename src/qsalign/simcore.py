@@ -15,6 +15,7 @@ concurrently without coordination.
 from __future__ import annotations
 
 import ast
+import functools
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
@@ -29,6 +30,7 @@ GATE_KINDS = frozenset({"X", "H", "Z", "RX", "RY", "RZ", "CNOT", "MCX", "MCZ"})
 # X-like kinds permute amplitudes, Z-like kinds flip signs, the rest mix.
 _X_LIKE = frozenset({"X", "CNOT", "MCX"})
 _Z_LIKE = frozenset({"Z", "MCZ"})
+_SIGNED_PERMUTATION = _X_LIKE | _Z_LIKE
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 _PACK_SELECT = struct.Struct("4q").pack
@@ -65,7 +67,7 @@ class Gate:
     qubit touched (``max_qubit``), the index of the target's 0-half and
     1-half in a (2,)*q tensor view of the amplitudes, and the packed
     (target, max_qubit, control mask, control value) that
-    ``run_sequences`` reads.
+    ``run_sequences`` and ``apply_circuit``'s run test read.
     """
 
     kind: str
@@ -352,16 +354,79 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return Statevector(state.num_qubits, out)
 
 
+# one array per distinct run: in a search, the P O P^-1 between two layers,
+# one per (width, probe distance, loader tail), and the diffusion's X-wrapped
+# flip for an all-zero target. Loaders that end in a rotation give n + 2 per
+# width, 45 over n = 3..8; a P O P^-1 array holds 2^(2n) indices, 512 KB at
+# n = 8
+@functools.lru_cache(maxsize=64)
+def _negated_indices(num_qubits: int, run: tuple[Gate, ...]) -> np.ndarray:
+    """The basis indices a sign-only run of X- and Z-like gates negates.
+
+    The run moves no amplitude, so it multiplies each one by its own sign,
+    and applying it gate by gate to all ones leaves exactly those signs.
+    """
+    signs = np.ones(1 << num_qubits)
+    tensor = signs.reshape((2,) * num_qubits)
+    for gate in run:
+        _apply_gate_inplace(tensor, gate)
+    return np.flatnonzero(signs < 0.0)
+
+
+def _apply_run_inplace(out: np.ndarray, tensor: np.ndarray, run: list[Gate]) -> None:
+    """Apply a maximal run of X- and Z-like gates to ``out``, in place."""
+    # the cheap test first: a run that fails it is never hashed
+    if len(run) > 1 and _cancels(run):
+        out[_negated_indices(tensor.ndim, tuple(run))] *= -1.0
+        return
+    for gate in run:
+        _apply_gate_inplace(tensor, gate)
+
+
+def _cancels(run: list[Gate]) -> bool:
+    """Whether the run has X-like gates that read the same both ways, in an even number.
+
+    Two X-like gates with the same packed target and controls are the same
+    permutation, so the test compares those bytes. Most runs that fail it
+    end in two different X-like gates, and fail before any scan.
+    """
+    first, last = run[0], run[-1]
+    if first._select != last._select and first.kind in _X_LIKE and last.kind in _X_LIKE:
+        return False
+    moves = [gate._select for gate in run if gate.kind in _X_LIKE]
+    return bool(moves) and not len(moves) % 2 and moves == moves[::-1]
+
+
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
-    """Apply every gate in order, returning a new statevector."""
+    """Apply every gate in order, returning a new statevector.
+
+    Consecutive X- and Z-like gates form runs. Every X-like gate is a
+    self-inverse permutation, so when a run has X-like gates and they read
+    the same forwards and backwards, in an even number, their product is
+    the identity: the run moves no amplitude and only negates a fixed set
+    of basis states, P O P^-1 with O diagonal. Such a run is applied as one
+    indexed negation. Moving a value and multiplying it by -1.0 are both
+    exact, so every amplitude equals its gate-by-gate value; only the sign
+    of a zero can differ. Every other gate, including a run of Z-like
+    gates alone, is applied one at a time.
+    """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit acts on {circuit.num_qubits} qubits but state has {state.num_qubits}"
         )
     out = state.amplitudes.copy()  # C-contiguous, so the reshape is a view
     tensor = out.reshape((2,) * state.num_qubits)
+    run: list[Gate] = []
     for gate in circuit.gates:
+        if gate.kind in _SIGNED_PERMUTATION:
+            run.append(gate)
+            continue
+        if run:
+            _apply_run_inplace(out, tensor, run)
+            run = []
         _apply_gate_inplace(tensor, gate)
+    if run:
+        _apply_run_inplace(out, tensor, run)
     return Statevector(state.num_qubits, out)
 
 

@@ -108,6 +108,12 @@ def test_sweep_config_validation():
         SweepConfig(layer_policy="deepest")
 
 
+def test_sweep_config_refuses_a_negative_seed():
+    SweepConfig(seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        SweepConfig(seed=-1)
+
+
 def test_run_sweep_trial_record():
     record = run_sweep_trial(3, 0.9, trial_seed=12345, trial=2, shots=1024)
     assert record.n == 3

@@ -36,6 +36,13 @@ def test_config_validation():
         GaConfig(max_generations=-1)
 
 
+def test_config_refuses_a_negative_seed():
+    GaConfig(rng_seed=None)
+    GaConfig(rng_seed=0)
+    with pytest.raises(ValueError, match="rng_seed"):
+        GaConfig(rng_seed=-1)
+
+
 def test_genome_circuit_mapping():
     genes = [ry(0, 0.5), cnot(0, 1), rz(1, 1.25)]
     circuit = genome_circuit(Genome(genes), 2)

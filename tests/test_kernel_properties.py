@@ -10,9 +10,14 @@ from math import cos, pi, sin
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qsalign import simcore
+from qsalign.experiments import calibrated_loader, random_database, random_target
+from qsalign.grover import phase_oracle, search_circuit
+from qsalign.qsa import strip_diagonal_tail
+from qsalign.registers import RegisterLayout, TargetSequence, exact_loader, initialisation_unitary
 from qsalign.simcore import (
     GATE_KINDS,
     ROTATION_KINDS,
@@ -21,6 +26,7 @@ from qsalign.simcore import (
     Statevector,
     apply_circuit,
     apply_gate,
+    cnot,
     parse_circuit,
     run_circuit,
     run_sequences,
@@ -86,8 +92,8 @@ def _reference_circuit(amplitudes, circuit):
 
 
 @st.composite
-def gates(draw, num_qubits):
-    kinds = sorted(GATE_KINDS if num_qubits >= 2 else GATE_KINDS - {"CNOT"})
+def gates(draw, num_qubits, kinds=GATE_KINDS):
+    kinds = sorted(kinds if num_qubits >= 2 else kinds - {"CNOT"})
     kind = draw(st.sampled_from(kinds))
     order = draw(st.permutations(range(num_qubits)))
     if kind == "CNOT":
@@ -247,3 +253,113 @@ def test_with_angle_equals_a_freshly_built_rotation(gate, angle):
             assert getattr(rebuilt, name) == value
     assert type(rebuilt.angle) is float
     assert vars(gate) == before  # the original gate is untouched
+
+
+# --- runs of X- and Z-like gates that cancel to a sign flip ------------------
+# apply_circuit applies a run that has X-like gates, reading the same both
+# ways in an even number, as one indexed negation; these circuits put such
+# runs, and runs that only nearly qualify, between gates that mix amplitudes.
+
+_X_KINDS = frozenset({"X", "CNOT", "MCX"})
+_Z_KINDS = frozenset({"Z", "MCZ"})
+_MIXING_KINDS = GATE_KINDS - _X_KINDS - _Z_KINDS
+
+
+@st.composite
+def sandwich_circuits(draw, max_qubits=8):
+    """Mixing gates, a run of X- and Z-like gates, mixing gates.
+
+    The run is A, D, reversed(A), with A one or more X-like gates with
+    controls at both polarities and D zero or more Z-like gates, so it
+    cancels to a sign flip; or one of its near misses: an odd palindrome,
+    the palindrome with one gate changed, Z-like gates alone, or the
+    palindrome split by a mixing gate into a run ending at it and one
+    starting after it.
+    """
+    num_qubits = draw(st.integers(2, max_qubits))
+    mixing = st.lists(gates(num_qubits, _MIXING_KINDS), max_size=3)
+    moves = draw(st.lists(gates(num_qubits, _X_KINDS), min_size=1, max_size=6))
+    signs = draw(st.lists(gates(num_qubits, _Z_KINDS), max_size=4))
+    mirrored = moves[::-1]
+    variant = draw(st.sampled_from(["cancel", "odd", "changed", "sign_only", "split"]))
+    if variant == "odd":
+        run = moves + signs + [draw(gates(num_qubits, _X_KINDS))] + mirrored
+    elif variant == "changed":
+        where = draw(st.integers(0, len(mirrored) - 1))
+        changed = draw(gates(num_qubits, _X_KINDS))
+        assume(changed != mirrored[where])
+        mirrored[where] = changed
+        run = moves + signs + mirrored
+    elif variant == "sign_only":
+        run = draw(st.lists(gates(num_qubits, _Z_KINDS), min_size=1, max_size=5))
+    elif variant == "split":
+        run = moves + signs + mirrored
+        where = draw(st.integers(1, len(run) - 1))
+        run.insert(where, draw(gates(num_qubits, _MIXING_KINDS)))
+    else:
+        run = moves + signs + mirrored
+    return Circuit(num_qubits, (*draw(mixing), *run, *draw(mixing)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(sandwich_circuits(), st.integers(0, 2**32 - 1))
+def test_signed_permutation_runs_match_mask_kernel_exactly(circuit, seed):
+    amps = _random_amplitudes(circuit.num_qubits, seed)
+    out = apply_circuit(Statevector(circuit.num_qubits, amps), circuit)
+    assert np.array_equal(out.amplitudes, _reference_circuit(amps, circuit))
+
+
+def test_a_cancelling_run_is_applied_as_one_cached_negation():
+    moves = [cnot(0, 1), Gate("MCX", (2,), ((0, 0), (1, 1)))]
+    run = moves + [Gate("MCZ", (1,), ((2, 1),))] + moves[::-1]
+    circuit = Circuit(3, (Gate("H", (0,)), *run, Gate("H", (2,))))
+    before = simcore._negated_indices.cache_info()
+    amps = _random_amplitudes(3, 5)
+    for _ in range(2):
+        out = apply_circuit(Statevector(3, amps), circuit)
+        assert np.array_equal(out.amplitudes, _reference_circuit(amps, circuit))
+    after = simcore._negated_indices.cache_info()
+    assert after.hits - before.hits >= 1
+    assert after.misses - before.misses <= 1
+    negated = simcore._negated_indices(3, tuple(run))
+    assert negated.dtype.kind == "i" and len(negated) < 1 << 3
+
+
+def test_a_run_of_sign_gates_alone_goes_gate_by_gate():
+    signs = (Gate("Z", (0,)), Gate("MCZ", (1,), ((2, 0),)), Gate("Z", (2,)))
+    circuit = Circuit(3, (Gate("H", (0,)), *signs, Gate("H", (2,))))
+    before = simcore._negated_indices.cache_info()
+    amps = _random_amplitudes(3, 6)
+    out = apply_circuit(Statevector(3, amps), circuit)
+    assert np.array_equal(out.amplitudes, _reference_circuit(amps, circuit))
+    assert simcore._negated_indices.cache_info() == before
+
+
+def _search_cases():
+    cases = []
+    for n in range(3, 7):
+        db = random_database(n, "floor", [16, n])
+        target = random_target(n, [16, n, 1])
+        cases.append(pytest.param(db, target, exact_loader(db), id=f"n={n}-exact"))
+    db = random_database(3, "floor", [16, 0])
+    # an all-zero target wraps the diffusion's sign flip in X gates
+    cases.append(pytest.param(db, TargetSequence("000"), exact_loader(db), id="n=3-zero-target"))
+    # a loader that starts and ends with CNOTs: the diffusion's undo and redo
+    # of it then mirror those CNOTs around the sign flips
+    loader = Circuit(3, (cnot(1, 0),) + exact_loader(db).gates + (cnot(0, 2),))
+    cases.append(pytest.param(db, random_target(3, [16, 0, 1]), loader, id="n=3-cnot-ends"))
+    db = random_database(4, "floor", [16, 4, 2])
+    loader = calibrated_loader(db, 0.6, 16)
+    cases.append(pytest.param(db, random_target(4, [16, 4, 3]), loader, id="n=4-calibrated-0.6"))
+    return cases
+
+
+@pytest.mark.parametrize("db, target, loader", _search_cases())
+def test_search_circuit_matches_mask_kernel_exactly(db, target, loader):
+    layout = RegisterLayout(db.n)
+    prep = initialisation_unitary(strip_diagonal_tail(loader), target, layout)
+    delta = min(bin(int(e, 2) ^ int(target.bits, 2)).count("1") for e in db.entries)
+    circuit = search_circuit(prep, phase_oracle(layout, delta), 2)
+    zero = np.zeros(1 << layout.total, dtype=np.complex128)
+    zero[0] = 1.0
+    assert np.array_equal(run_circuit(circuit).amplitudes, _reference_circuit(zero, circuit))

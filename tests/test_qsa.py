@@ -43,6 +43,14 @@ def test_config_validation():
         QsaConfig(layer_policy="always_three")
 
 
+def test_config_refuses_a_negative_seed():
+    # SeedSequence takes no negative entropy; None still draws fresh entropy
+    QsaConfig(rng_seed=None)
+    QsaConfig(rng_seed=0)
+    with pytest.raises(ValueError, match="rng_seed"):
+        QsaConfig(rng_seed=-1)
+
+
 def test_classical_min_hamming():
     db = Database(3, ("000", "011", "111"))
     d_min, entries = classical_min_hamming(db, TargetSequence("110"))
