@@ -66,6 +66,9 @@ class SweepConfig:
         object.__setattr__(self, "fidelities", tuple(self.fidelities))
         if not self.qubit_sizes:
             raise ValueError("at least one qubit size is required")
+        if len(set(self.qubit_sizes)) != len(self.qubit_sizes):
+            # a repeated size reruns its trials on the same trial seeds
+            raise ValueError(f"qubit_sizes must be distinct, got {list(self.qubit_sizes)}")
         for n in self.qubit_sizes:
             check_size(n)
         for f in self.fidelities:
@@ -79,8 +82,9 @@ class SweepConfig:
             raise ValueError(f"unknown db size rule {self.db_size_rule!r}")
         if self.layer_policy not in LAYER_POLICIES:
             raise ValueError(f"unknown layer policy {self.layer_policy!r}")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # every file a sweep writes depends only on the seed, so it must be set
+        if self.seed is None or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

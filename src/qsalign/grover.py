@@ -91,8 +91,11 @@ def search_circuit(prep: Circuit, oracle: Circuit, layers: int) -> Circuit:
     """Full pass: preparation followed by ``layers`` amplification layers.
 
     Each oracle sits between the entangler and popcount that end the
-    preparation and every diffusion, and their inverse: ``simcore.apply_circuit``
-    applies that run as one sign flip, with the gate-by-gate amplitudes.
+    preparation and every diffusion, and their inverse, and the circuit
+    ends with the entangler and popcount. ``simcore.apply_circuit``
+    applies each of those runs as one cached signed permutation, with the
+    gate-by-gate amplitudes: the run around an oracle moves no amplitude,
+    so it is one indexed negation, and the last run is one gather.
     """
     if layers < 0:
         raise ValueError("layer count must be >= 0")

@@ -15,8 +15,9 @@ concurrently without coordination.
 from __future__ import annotations
 
 import ast
-import functools
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain
 from math import cos, sin
@@ -30,7 +31,6 @@ GATE_KINDS = frozenset({"X", "H", "Z", "RX", "RY", "RZ", "CNOT", "MCX", "MCZ"})
 # X-like kinds permute amplitudes, Z-like kinds flip signs, the rest mix.
 _X_LIKE = frozenset({"X", "CNOT", "MCX"})
 _Z_LIKE = frozenset({"Z", "MCZ"})
-_SIGNED_PERMUTATION = _X_LIKE | _Z_LIKE
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 _PACK_SELECT = struct.Struct("4q").pack
@@ -354,80 +354,147 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return Statevector(state.num_qubits, out)
 
 
-# one array per distinct run: in a search, the P O P^-1 between two layers,
-# one per (width, probe distance, loader tail), and the diffusion's X-wrapped
-# flip for an all-zero target. Loaders that end in a rotation give n + 2 per
-# width, 45 over n = 3..8; a P O P^-1 array holds 2^(2n) indices, 512 KB at
-# n = 8
-@functools.lru_cache(maxsize=64)
-def _negated_indices(num_qubits: int, run: tuple[Gate, ...]) -> np.ndarray:
-    """The basis indices a sign-only run of X- and Z-like gates negates.
+# a run's key names the gates that move amplitudes (x) and those that negate
+# them (z); their packed _select bytes say on which basis states
+_RUN_CLASS = {**dict.fromkeys(_X_LIKE, "x"), **dict.fromkeys(_Z_LIKE, "z")}
+_FUSED_RUN_MIN_GATES = 3
 
-    The run moves no amplitude, so it multiplies each one by its own sign,
-    and applying it gate by gate to all ones leaves exactly those signs.
+
+class _SignedPermutations:
+    """Least-recently-used cache of the signed permutations runs apply.
+
+    An entry maps (width, class string, joined ``_select`` bytes) to the
+    run's gather indices and the basis indices it then negates: read-only
+    intp arrays, None where the run moves no amplitude or negates none.
+    The key costs two joins, not a hash of every gate's fields.
+
+    The entries take at most ``MAX_BYTES``, 32 MiB, room for four 8 MiB
+    gathers on the n = 8 search register (2n + k = 20 qubits); past it the
+    least recently used go. An entry takes at most 16 bytes per amplitude,
+    so ``fits`` admits runs on at most 21 qubits; wider ones go gate by
+    gate.
     """
-    signs = np.ones(1 << num_qubits)
-    tensor = signs.reshape((2,) * num_qubits)
+
+    MAX_BYTES = 32 << 20
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+        self.hits = self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def fits(self, num_qubits: int) -> bool:
+        return 16 << num_qubits <= self.MAX_BYTES
+
+    def lookup(self, num_qubits: int, classes: str, run: list[Gate]):
+        key = (num_qubits, classes, b"".join([gate._select for gate in run]))
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry
+            self.misses += 1
+        entry = _signed_permutation(num_qubits, run)
+        with self._lock:
+            if key not in self._entries:  # another thread may have built it
+                self._entries[key] = entry
+                self.nbytes += _entry_bytes(entry)
+            while self.nbytes > self.MAX_BYTES:
+                self.nbytes -= _entry_bytes(self._entries.popitem(last=False)[1])
+        return entry
+
+
+def _entry_bytes(entry) -> int:
+    return sum(a.nbytes for a in entry if a is not None)
+
+
+def _signed_permutation(num_qubits: int, run: list[Gate]):
+    """The gather indices (None for the identity) and negated indices of a run.
+
+    Applied gate by gate to signed labels 1..2^q, the run leaves label
+    +-(j + 1) at index i exactly when it moves amplitude j to i, times that
+    sign.
+    """
+    labels = np.arange(1.0, (1 << num_qubits) + 1.0)
+    tensor = labels.reshape((2,) * num_qubits)
     for gate in run:
         _apply_gate_inplace(tensor, gate)
-    return np.flatnonzero(signs < 0.0)
+    negated = np.flatnonzero(labels < 0.0)
+    source = np.abs(labels, out=labels).astype(np.intp)
+    source -= 1
+    if np.array_equal(source, np.arange(1 << num_qubits)):
+        source = None
+    else:
+        source.flags.writeable = False
+    if not len(negated):
+        negated = None
+    else:
+        negated.flags.writeable = False
+    return source, negated
 
 
-def _apply_run_inplace(out: np.ndarray, tensor: np.ndarray, run: list[Gate]) -> None:
-    """Apply a maximal run of X- and Z-like gates to ``out``, in place."""
-    # the cheap test first: a run that fails it is never hashed
-    if len(run) > 1 and _cancels(run):
-        out[_negated_indices(tensor.ndim, tuple(run))] *= -1.0
-        return
+_RUNS = _SignedPermutations()
+
+
+def _apply_run(tensor: np.ndarray, run: list[Gate]) -> np.ndarray:
+    """Apply a maximal run of X- and Z-like gates; return the amplitudes' tensor.
+
+    The result is ``tensor`` itself, updated in place, unless the run is
+    gathered into a new array.
+    """
+    if len(run) >= _FUSED_RUN_MIN_GATES and _RUNS.fits(tensor.ndim):
+        classes = "".join([_RUN_CLASS[gate.kind] for gate in run])
+        if "x" in classes and any(gate.controls for gate in run):
+            source, negated = _RUNS.lookup(tensor.ndim, classes, run)
+            flat = tensor.reshape(-1)
+            if source is not None:
+                flat = flat[source]
+            if negated is not None:
+                flat[negated] *= -1.0
+            return flat.reshape(tensor.shape)
     for gate in run:
         _apply_gate_inplace(tensor, gate)
-
-
-def _cancels(run: list[Gate]) -> bool:
-    """Whether the run has X-like gates that read the same both ways, in an even number.
-
-    Two X-like gates with the same packed target and controls are the same
-    permutation, so the test compares those bytes. Most runs that fail it
-    end in two different X-like gates, and fail before any scan.
-    """
-    first, last = run[0], run[-1]
-    if first._select != last._select and first.kind in _X_LIKE and last.kind in _X_LIKE:
-        return False
-    moves = [gate._select for gate in run if gate.kind in _X_LIKE]
-    return bool(moves) and not len(moves) % 2 and moves == moves[::-1]
+    return tensor
 
 
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     """Apply every gate in order, returning a new statevector.
 
-    Consecutive X- and Z-like gates form runs. Every X-like gate is a
-    self-inverse permutation, so when a run has X-like gates and they read
-    the same forwards and backwards, in an even number, their product is
-    the identity: the run moves no amplitude and only negates a fixed set
-    of basis states, P O P^-1 with O diagonal. Such a run is applied as one
-    indexed negation. Moving a value and multiplying it by -1.0 are both
-    exact, so every amplitude equals its gate-by-gate value; only the sign
-    of a zero can differ. Every other gate, including a run of Z-like
-    gates alone, is applied one at a time.
+    Consecutive X- and Z-like gates form maximal runs. A run of three or
+    more gates, with an X-like gate and a controlled gate among them, is
+    applied as one signed permutation: one gather ``out[source]``, skipped
+    where the run moves no amplitude, then one indexed negation. Both
+    index arrays are found once per distinct run, by applying its gates to
+    signed index labels, and kept in a cache bounded in bytes (see
+    ``_SignedPermutations``). Moving a value and multiplying it by -1.0
+    are both exact, so every amplitude equals its gate-by-gate value; only
+    the sign of a zero can differ. Every other gate goes one at a time: a
+    run of uncontrolled gates is a per-target load, which would add a
+    cache entry per target; a run of Z-like gates alone moves nothing; and
+    a run of one or two gates costs about what the gather does.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit acts on {circuit.num_qubits} qubits but state has {state.num_qubits}"
         )
-    out = state.amplitudes.copy()  # C-contiguous, so the reshape is a view
-    tensor = out.reshape((2,) * state.num_qubits)
+    # C-contiguous, so the reshape is a view
+    tensor = state.amplitudes.copy().reshape((2,) * state.num_qubits)
     run: list[Gate] = []
     for gate in circuit.gates:
-        if gate.kind in _SIGNED_PERMUTATION:
+        if gate.kind in _RUN_CLASS:
             run.append(gate)
             continue
         if run:
-            _apply_run_inplace(out, tensor, run)
+            tensor = _apply_run(tensor, run)
             run = []
         _apply_gate_inplace(tensor, gate)
     if run:
-        _apply_run_inplace(out, tensor, run)
-    return Statevector(state.num_qubits, out)
+        tensor = _apply_run(tensor, run)
+    return Statevector(state.num_qubits, tensor.reshape(-1))
 
 
 def run_circuit(circuit: Circuit) -> Statevector:

@@ -246,6 +246,12 @@ def test_negative_seed_refused_before_anything_is_built(command, db3, monkeypatc
     assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
+def test_sweep_repeated_sizes_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "fidelity_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+    assert main(["sweep", "--sizes", "3,3"]) == 1
+    assert "qubit_sizes must be distinct, got [3, 3]" in capsys.readouterr().err
+
+
 def test_layers_zero_shots_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "layer_study", lambda *a, **k: pytest.fail("study ran"))
     assert main(["layers", "--n", "3", "--shots", "0"]) == 1

@@ -114,6 +114,21 @@ def test_sweep_config_refuses_a_negative_seed():
         SweepConfig(seed=-1)
 
 
+def test_sweep_config_refuses_no_seed():
+    # the sweep's files depend only on the seed, so one must be given
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got None"):
+        SweepConfig(seed=None)
+
+
+def test_sweep_config_refuses_repeated_sizes():
+    # a repeated size would rerun its trials on the same trial seeds
+    SweepConfig(qubit_sizes=(4, 3))
+    with pytest.raises(ValueError, match=r"qubit_sizes must be distinct, got \[3, 3\]"):
+        SweepConfig(qubit_sizes=(3, 3))
+    with pytest.raises(ValueError, match="distinct"):
+        SweepConfig(qubit_sizes=[3, 4, 3])
+
+
 def test_run_sweep_trial_record():
     record = run_sweep_trial(3, 0.9, trial_seed=12345, trial=2, shots=1024)
     assert record.n == 3

@@ -6,6 +6,8 @@ The view kernel must repeat its arithmetic exactly, and the batched runner
 must repeat the view kernel's, so results are compared with
 ``np.array_equal`` and no tolerance.
 """
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import cos, pi, sin
 
 import numpy as np
@@ -16,8 +18,14 @@ from hypothesis import strategies as st
 from qsalign import simcore
 from qsalign.experiments import calibrated_loader, random_database, random_target
 from qsalign.grover import phase_oracle, search_circuit
-from qsalign.qsa import strip_diagonal_tail
-from qsalign.registers import RegisterLayout, TargetSequence, exact_loader, initialisation_unitary
+from qsalign.qsa import QsaConfig, run_qsa, strip_diagonal_tail
+from qsalign.registers import (
+    Database,
+    RegisterLayout,
+    TargetSequence,
+    exact_loader,
+    initialisation_unitary,
+)
 from qsalign.simcore import (
     GATE_KINDS,
     ROTATION_KINDS,
@@ -255,10 +263,12 @@ def test_with_angle_equals_a_freshly_built_rotation(gate, angle):
     assert vars(gate) == before  # the original gate is untouched
 
 
-# --- runs of X- and Z-like gates that cancel to a sign flip ------------------
-# apply_circuit applies a run that has X-like gates, reading the same both
-# ways in an even number, as one indexed negation; these circuits put such
-# runs, and runs that only nearly qualify, between gates that mix amplitudes.
+# --- runs of X- and Z-like gates applied as one signed permutation ---------
+# apply_circuit applies a run of three or more X- and Z-like gates, with an
+# X-like gate and a controlled gate among them, as one cached gather and
+# negation; these circuits put such runs, the palindromes among them that
+# only negate, and runs that go gate by gate between gates that mix
+# amplitudes.
 
 _X_KINDS = frozenset({"X", "CNOT", "MCX"})
 _Z_KINDS = frozenset({"Z", "MCZ"})
@@ -271,17 +281,18 @@ def sandwich_circuits(draw, max_qubits=8):
 
     The run is A, D, reversed(A), with A one or more X-like gates with
     controls at both polarities and D zero or more Z-like gates, so it
-    cancels to a sign flip; or one of its near misses: an odd palindrome,
-    the palindrome with one gate changed, Z-like gates alone, or the
-    palindrome split by a mixing gate into a run ending at it and one
-    starting after it.
+    cancels to a sign flip; or a variation of it: an odd palindrome, the
+    palindrome with one gate changed, Z-like gates alone, the palindrome
+    split by a mixing gate into a run ending at it and one starting after
+    it, or X- and Z-like gates in any order and number, which mostly move
+    amplitudes along cycles longer than two.
     """
     num_qubits = draw(st.integers(2, max_qubits))
     mixing = st.lists(gates(num_qubits, _MIXING_KINDS), max_size=3)
     moves = draw(st.lists(gates(num_qubits, _X_KINDS), min_size=1, max_size=6))
     signs = draw(st.lists(gates(num_qubits, _Z_KINDS), max_size=4))
     mirrored = moves[::-1]
-    variant = draw(st.sampled_from(["cancel", "odd", "changed", "sign_only", "split"]))
+    variant = draw(st.sampled_from(["cancel", "odd", "changed", "sign_only", "split", "mixed"]))
     if variant == "odd":
         run = moves + signs + [draw(gates(num_qubits, _X_KINDS))] + mirrored
     elif variant == "changed":
@@ -296,12 +307,14 @@ def sandwich_circuits(draw, max_qubits=8):
         run = moves + signs + mirrored
         where = draw(st.integers(1, len(run) - 1))
         run.insert(where, draw(gates(num_qubits, _MIXING_KINDS)))
+    elif variant == "mixed":
+        run = draw(st.lists(gates(num_qubits, _X_KINDS | _Z_KINDS), min_size=1, max_size=9))
     else:
         run = moves + signs + mirrored
     return Circuit(num_qubits, (*draw(mixing), *run, *draw(mixing)))
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=800, deadline=None)
 @given(sandwich_circuits(), st.integers(0, 2**32 - 1))
 def test_signed_permutation_runs_match_mask_kernel_exactly(circuit, seed):
     amps = _random_amplitudes(circuit.num_qubits, seed)
@@ -309,30 +322,133 @@ def test_signed_permutation_runs_match_mask_kernel_exactly(circuit, seed):
     assert np.array_equal(out.amplitudes, _reference_circuit(amps, circuit))
 
 
-def test_a_cancelling_run_is_applied_as_one_cached_negation():
+@pytest.fixture
+def runs(monkeypatch):
+    """A fresh, empty run cache for the test."""
+    cache = simcore._SignedPermutations()
+    monkeypatch.setattr(simcore, "_RUNS", cache)
+    return cache
+
+
+def _counts(cache):
+    return len(cache), cache.hits, cache.misses, cache.nbytes
+
+
+def _apply_twice_exactly(circuit, seed):
+    amps = _random_amplitudes(circuit.num_qubits, seed)
+    for _ in range(2):
+        out = apply_circuit(Statevector(circuit.num_qubits, amps), circuit)
+        assert np.array_equal(out.amplitudes, _reference_circuit(amps, circuit))
+
+
+def test_a_cancelling_run_is_applied_as_one_cached_negation(runs):
     moves = [cnot(0, 1), Gate("MCX", (2,), ((0, 0), (1, 1)))]
     run = moves + [Gate("MCZ", (1,), ((2, 1),))] + moves[::-1]
     circuit = Circuit(3, (Gate("H", (0,)), *run, Gate("H", (2,))))
-    before = simcore._negated_indices.cache_info()
-    amps = _random_amplitudes(3, 5)
-    for _ in range(2):
-        out = apply_circuit(Statevector(3, amps), circuit)
-        assert np.array_equal(out.amplitudes, _reference_circuit(amps, circuit))
-    after = simcore._negated_indices.cache_info()
-    assert after.hits - before.hits >= 1
-    assert after.misses - before.misses <= 1
-    negated = simcore._negated_indices(3, tuple(run))
-    assert negated.dtype.kind == "i" and len(negated) < 1 << 3
+    _apply_twice_exactly(circuit, 5)
+    assert (len(runs), runs.hits, runs.misses) == (1, 1, 1)
+    source, negated = runs.lookup(3, "xxzxx", run)
+    assert source is None  # the run moves no amplitude
+    assert negated.dtype == np.intp and 0 < len(negated) < 1 << 3
 
 
-def test_a_run_of_sign_gates_alone_goes_gate_by_gate():
+def test_a_run_that_moves_amplitudes_is_one_cached_gather(runs):
+    # CNOT(0->1), CNOT(1->0) sends |01> to |10> to |11> to |01>: a 3-cycle,
+    # so a gather through the inverse permutation would differ
+    run = [cnot(0, 1), cnot(1, 0), Gate("MCZ", (0,), ((2, 0),)), Gate("X", (2,))]
+    circuit = Circuit(3, (Gate("H", (0,)), Gate("RY", (1,), (), 0.3), *run, Gate("H", (2,))))
+    _apply_twice_exactly(circuit, 7)
+    assert (len(runs), runs.hits, runs.misses) == (1, 1, 1)
+    source, negated = runs.lookup(3, "xxzx", run)
+    assert sorted(source) == list(range(8))
+    assert not np.array_equal(source[source], np.arange(8))
+    assert len(negated) and not source.flags.writeable and not negated.flags.writeable
+
+
+def test_a_run_of_sign_gates_alone_goes_gate_by_gate(runs):
     signs = (Gate("Z", (0,)), Gate("MCZ", (1,), ((2, 0),)), Gate("Z", (2,)))
     circuit = Circuit(3, (Gate("H", (0,)), *signs, Gate("H", (2,))))
-    before = simcore._negated_indices.cache_info()
-    amps = _random_amplitudes(3, 6)
-    out = apply_circuit(Statevector(3, amps), circuit)
-    assert np.array_equal(out.amplitudes, _reference_circuit(amps, circuit))
-    assert simcore._negated_indices.cache_info() == before
+    _apply_twice_exactly(circuit, 6)
+    assert _counts(runs) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("run", [
+    (Gate("X", (0,)), Gate("X", (2,)), Gate("Z", (1,))),  # uncontrolled: a target load
+    (cnot(0, 1), cnot(1, 2)),  # two gates
+], ids=["uncontrolled", "two-gates"])
+def test_short_or_uncontrolled_runs_go_gate_by_gate(runs, run):
+    circuit = Circuit(3, (Gate("H", (0,)), Gate("H", (1,)), *run, Gate("H", (2,))))
+    _apply_twice_exactly(circuit, 8)
+    assert _counts(runs) == (0, 0, 0, 0)
+
+
+def _distinct_runs(count, seed):
+    """Circuits on 6 qubits, each with its own run of three CNOTs and a Z.
+
+    One run's entry holds a 512-byte gather and its negated indices.
+    """
+    rng = np.random.default_rng(seed)
+    circuits = []
+    for _ in range(count):
+        picks = [rng.permutation(6)[:2] for _ in range(4)]
+        run = [cnot(int(c), int(t)) for c, t in picks[:3]] + [Gate("Z", (int(picks[3][0]),))]
+        circuits.append(Circuit(6, (Gate("H", (0,)), Gate("H", (3,)), *run)))
+    return circuits
+
+
+def _held_bytes(cache):
+    return sum(sum(a.nbytes for a in entry if a is not None) for entry in cache._entries.values())
+
+
+def test_run_cache_stays_under_its_byte_ceiling(runs, monkeypatch):
+    monkeypatch.setattr(runs, "MAX_BYTES", 1500)
+    circuits = _distinct_runs(12, 3)
+    for circuit in circuits + circuits[:4]:
+        _apply_twice_exactly(circuit, 9)
+        assert 0 < runs.nbytes == _held_bytes(runs) <= runs.MAX_BYTES
+    assert len(runs) <= 2 and runs.misses > 12
+
+
+def test_run_cache_stays_consistent_across_threads(runs, monkeypatch):
+    # more threads than cores, switching often, on a cache that evicts:
+    # a lost update would leave nbytes off the entries' own total
+    monkeypatch.setattr(runs, "MAX_BYTES", 4000)
+    circuits = _distinct_runs(16, 4)
+    amps = _random_amplitudes(6, 10)
+    expected = [_reference_circuit(amps, circuit) for circuit in circuits]
+
+    def work(offset):
+        for i in range(3 * len(circuits)):
+            k = (offset + i) % len(circuits)
+            out = apply_circuit(Statevector(6, amps), circuits[k])
+            assert np.array_equal(out.amplitudes, expected[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, offset) for offset in range(8)]
+            for future in futures:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 < runs.nbytes == _held_bytes(runs) <= runs.MAX_BYTES
+    assert runs.hits + runs.misses == 8 * 3 * len(circuits)
+
+
+def test_qsa_over_every_target_adds_no_cache_entry_per_target(runs):
+    # entries of weight >= 4: the zero target is the farthest from every
+    # entry, so a blind search for it probes every distance another target
+    # does, and it alone runs the diffusion's X-wrapped flip
+    entries = [format(v, "06b") for v in range(64) if v.bit_count() >= 4]
+    db = Database(6, tuple(entries))
+    loader = exact_loader(db)
+    config = QsaConfig(shots=256, rng_seed=11, blind=True)
+    assert run_qsa(loader, db, TargetSequence("000000"), config).distance == 4
+    single = len(runs)
+    for t in range(64):
+        run_qsa(loader, db, TargetSequence(format(t, "06b")), config)
+    assert 0 < len(runs) == single
 
 
 def _search_cases():

@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/bench_record.py --base e1c1517 --out BENCH_16.json
+    python3 tools/bench_record.py --base 813c5e6 --out BENCH_17.json
 
 Exports the ``--base`` revision and the working tree's tracked and
 unignored files into two temporary directories, and runs each one's own
@@ -13,7 +13,8 @@ side, alternating which side goes first, so slow drift in the machine's
 speed falls on both; a claimed gain must win nine of them. The file
 records every run's end-to-end metrics and pass count, the core count and
 both sides' revisions, and per metric each side's median and quartiles
-and how many pairs the head won.
+and how many pairs the head won, and per side how many runs were not
+correct and how many operations failed in all.
 Runs go one at a time; nothing under ``bench/`` is changed.
 """
 from __future__ import annotations
@@ -114,7 +115,11 @@ def main(argv=None) -> int:
         side = {name: sorted((r for r in runs if (r["workload"], r["seed"], r["side"])
                               == (workload, seed, name)), key=lambda r: r["repeat"])
                 for name in ("base", "head")}
-        case = {"passes": {name: [r["passes"] for r in side[name]] for name in side}}
+        case = {
+            "passes": {name: [r["passes"] for r in side[name]] for name in side},
+            "runs_not_correct": {name: sum(not r["correct"] for r in side[name]) for name in side},
+            "failed_operations": {name: sum(r["failed"] for r in side[name]) for name in side},
+        }
         for metric in declared:
             name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
             values = {s: [r["metrics"][name] for r in side[s]] for s in side}
