@@ -24,6 +24,7 @@ from .registers import (
     RegisterLayout,
     entangler,
     exact_loader,
+    hamming,
     initialisation_unitary,
     popcount_operator,
 )
@@ -102,7 +103,8 @@ def check_initialisation(sizes, per_size: int, seed: int) -> CheckResult:
             for entry in db.entries:
                 d = int(entry, 2)
                 s = d ^ int(target.bits, 2)
-                expected[layout.pack_index(d, s, int(bin(s).count("1")))] = 1 / np.sqrt(db.size)
+                h = hamming(entry, target.bits)
+                expected[layout.pack_index(d, s, h)] = 1 / np.sqrt(db.size)
             overlap = abs(np.vdot(expected, state.amplitudes)) ** 2
             worst = min(worst, overlap)
     ok = worst > 1 - 1e-10

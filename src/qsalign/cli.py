@@ -192,6 +192,8 @@ def _cmd_sweep(args) -> int:
         if done % 50 == 0 or done == all_items:
             print(f"sweep {done}/{all_items} trials", file=sys.stderr)
 
+    # an unwritable --out fails here, not after every trial has run
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     print(f"sweep: {total} trials over n={list(sizes)}", file=sys.stderr)
     result = fidelity_sweep(
         config, mode="full" if args.full else "fast", jobs=args.jobs, progress=progress

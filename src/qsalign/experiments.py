@@ -35,7 +35,6 @@ from .simcore import (
     Statevector,
     apply_circuit,
     fidelity,
-    index_to_bits,
     run_circuit,
     sample_counts,
 )
@@ -66,6 +65,8 @@ class SweepConfig:
         object.__setattr__(self, "fidelities", tuple(self.fidelities))
         if not self.qubit_sizes:
             raise ValueError("at least one qubit size is required")
+        if not self.fidelities:
+            raise ValueError("fidelities must name at least one fidelity")
         if len(set(self.qubit_sizes)) != len(self.qubit_sizes):
             # a repeated size reruns its trials on the same trial seeds
             raise ValueError(f"qubit_sizes must be distinct, got {list(self.qubit_sizes)}")
@@ -184,7 +185,7 @@ def layer_study(n: int, p_max: int, seed=None, shots: int = 4096) -> list[LayerP
 
     layout = RegisterLayout(n)
     prep = initialisation_unitary(exact_loader(db), target, layout)
-    reference = {index_to_bits(layout.pack_index(int(target.bits, 2), 0, 0), layout.total): 1.0}
+    reference = {layout.pack_index(int(target.bits, 2), 0, 0): 1.0}
 
     layer = grover_layer(prep, phase_oracle(layout, 0))
     state = run_circuit(prep)

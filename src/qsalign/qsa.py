@@ -28,7 +28,7 @@ from .registers import (
     hamming,
     initialisation_unitary,
 )
-from .simcore import Circuit, index_to_bits, run_circuit, sample_counts
+from .simcore import Circuit, run_circuit, sample_counts
 
 logger = logging.getLogger(__name__)
 
@@ -68,7 +68,7 @@ class QsaResult:
     distance: int
     layers_used: int
     delta_trace: tuple[int, ...]
-    counts: dict[str, int]
+    counts: dict[int, int]
     accuracy: float
     degraded: bool = False
 
@@ -89,38 +89,36 @@ def count_matches(db: Database, target: TargetSequence, delta: int) -> int:
 
 def ideal_distribution(
     db: Database, target: TargetSequence, delta: int, layers: int
-) -> dict[str, float]:
+) -> dict[int, float]:
     """Outcome probabilities after ``layers`` layers at ``delta`` on an exact loader.
 
-    Each entry d is one branch |d, d xor t, popcount(d xor t)>. The c branches
+    Each entry d is one branch |d, d xor t, h>, h its Hamming distance to
+    t, keyed by its full-register basis index and listed in database
+    order. The c branches
     at distance delta share sin^2((2p+1) theta), sin^2 theta = c/N (Boyer,
     Brassard, Hoyer & Tapp, 1998), the rest share the remainder, and with
     c = 0 every branch keeps 1/N. Outcomes left out have probability zero.
     """
     layout = RegisterLayout(db.n)
     t = int(target.bits, 2)
-    distances = {d: (d ^ t).bit_count() for d in (int(e, 2) for e in db.entries)}
+    distances = {int(e, 2): hamming(e, target.bits) for e in db.entries}
     c = sum(1 for h in distances.values() if h == delta)
     hit = success_probability(layers, db.size, c) if c else 0.0
     return {
-        index_to_bits(layout.pack_index(d, d ^ t, h), layout.total):
-            hit / c if h == delta else (1.0 - hit) / (db.size - c)
+        layout.pack_index(d, d ^ t, h): hit / c if h == delta else (1.0 - hit) / (db.size - c)
         for d, h in distances.items()
     }
 
 
-def accuracy(counts: dict[str, int], ideal: dict[str, float]) -> float:
+def accuracy(counts: dict[int, int], ideal: dict[int, float]) -> float:
     """Cosine similarity between counts and ideal outcome probabilities.
 
-    ``ideal`` may leave out outcomes of probability zero, so the dot product
-    runs over the sampled outcomes only. Scale-invariant in the counts.
+    Both are keyed by basis index. ``ideal`` may leave out outcomes of
+    probability zero, so the dot product runs over the sampled outcomes
+    only. Scale-invariant in the counts.
     """
     if not counts:
         raise ValueError("counts histogram is empty")
-    width = len(next(iter(ideal)))
-    for outcome in counts:
-        if len(outcome) != width:
-            raise ValueError(f"outcome {outcome!r} is not {width} bits wide")
     if sum(counts.values()) <= 0:
         raise ValueError("counts histogram sums to zero")
     dot = sum(c * ideal.get(outcome, 0.0) for outcome, c in counts.items())
@@ -147,8 +145,8 @@ def run_qsa(
     count at each delta, whether a sampled outcome is an entry, and its
     distance. Probes delta in increasing order, skipping values with zero
     classical matches unless config.blind. An attempt accepts the most
-    frequent of its sampled outcomes whose data bits are an entry at
-    distance delta, ties going to the first in outcome order. If every
+    frequent of its sampled outcomes whose data value is an entry at
+    distance delta, ties going to the lowest basis index. If every
     probe is exhausted the result is flagged degraded and carries the first
     nearest entry observed in any sample (the nearest entry overall if none
     was ever observed).
@@ -177,6 +175,7 @@ def run_qsa(
     # refuses a loader or target of another width before any simulation
     prep = initialisation_unitary(strip_diagonal_tail(db_loader), target, layout)
     distance = {e: hamming(e, target.bits) for e in db.entries}
+    entry_at = {int(e, 2): e for e in db.entries}
     matches = Counter(distance.values())
 
     delta_trace: list[int] = []
@@ -202,17 +201,17 @@ def run_qsa(
         for _ in range(config.repeats):
             delta_trace.append(delta)
             counts = sample_counts(final, config.shots, seed_root.spawn(1)[0])
-            hit = None
-            for outcome, count in counts.items():
-                seen = layout.data_bits(outcome)
-                if seen not in distance:
+            hit, top = None, 0
+            for outcome, count in counts.items():  # ascending basis index
+                seen = entry_at.get(layout.data_index(outcome))
+                if seen is None:
                     continue
-                if distance[seen] == delta and (hit is None or count > counts[hit]):
-                    hit = outcome
+                if distance[seen] == delta and count > top:
+                    hit, top = seen, count
                 if best_entry is None or distance[seen] < distance[best_entry]:
                     best_entry = seen
             if hit is not None:
-                return finish(layout.data_bits(hit), degraded=False)
+                return finish(hit, degraded=False)
         logger.debug("no acceptance at delta=%d after %d attempts", delta, config.repeats)
 
     if best_entry is None:

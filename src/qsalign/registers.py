@@ -8,8 +8,11 @@ The full register is laid out as three blocks over ``2n + k`` qubits,
 - distance register, qubits ``[2n, 2n + k)``: holds the per-branch Hamming
   distance as a k-bit number
 
-With qubit 0 the least-significant index bit, a full-register outcome
-bitstring reads ``<distance bits><sample bits><data bits>``.
+A full-register basis index, and so a measurement outcome, is
+``data | sample << n | distance << 2n`` (``RegisterLayout.pack_index``).
+Bit strings enter only as entries and targets, and read most-significant
+bit first: "101" is the value 5, and its rightmost bit sits on the
+block's lowest qubit.
 """
 from __future__ import annotations
 
@@ -161,11 +164,8 @@ class RegisterLayout:
     def pack_index(self, data_index: int, sample_index: int, distance_index: int) -> int:
         return data_index | (sample_index << self.n) | (distance_index << (2 * self.n))
 
-    def data_bits(self, outcome: str) -> str:
-        """Data-register slice of a full-register outcome bitstring."""
-        if len(outcome) != self.total:
-            raise ValueError(f"outcome {outcome!r} is not {self.total} bits wide")
-        return outcome[self.total - self.n :]
+    def data_index(self, index: int) -> int:
+        return index & ((1 << self.n) - 1)
 
 
 def database_state(db: Database) -> Statevector:

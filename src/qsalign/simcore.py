@@ -2,9 +2,8 @@
 
 Conventions used throughout the package:
 
-- Qubit 0 is the least-significant bit of the basis-state index.
-- Bitstrings render most-significant qubit first, so for a 3-qubit state
-  the string "101" names basis index 5 and qubit 0 holds the rightmost bit.
+- Qubit 0 is the least-significant bit of the basis-state index, and a
+  measurement outcome is that index.
 - Global phase is never observable; state comparisons go through
   ``fidelity`` rather than amplitude equality.
 
@@ -281,10 +280,6 @@ def basis_state(num_qubits: int, index: int) -> Statevector:
     return Statevector(num_qubits, amps)
 
 
-def index_to_bits(index: int, num_qubits: int) -> str:
-    return format(index, f"0{num_qubits}b")
-
-
 _PACK_2X2 = struct.Struct("8d").pack
 
 
@@ -343,15 +338,6 @@ def _apply_gate_inplace(tensor: np.ndarray, gate: Gate) -> None:
     # per-call conversion that a Python or numpy scalar costs
     tensor[half0] = u[0, 0, ...] * a + u[0, 1, ...] * b
     tensor[half1] = u[1, 0, ...] * a + u[1, 1, ...] * b
-
-
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate, returning a new statevector."""
-    if gate.max_qubit >= state.num_qubits:
-        _raise_out_of_range(gate, state.num_qubits)
-    out = state.amplitudes.copy()  # C-contiguous, so the reshape is a view
-    _apply_gate_inplace(out.reshape((2,) * state.num_qubits), gate)
-    return Statevector(state.num_qubits, out)
 
 
 # a run's key names the gates that move amplitudes (x) and those that negate
@@ -570,10 +556,11 @@ def run_sequences(num_qubits: int, sequences) -> np.ndarray:
     return states
 
 
-def sample_counts(state: Statevector, shots: int, rng_seed: int) -> dict[str, int]:
-    """Sample measurement outcomes; bitstring keys, counts summing to shots.
+def sample_counts(state: Statevector, shots: int, rng_seed: int) -> dict[int, int]:
+    """Sample measurement outcomes; basis-index keys, counts summing to shots.
 
-    Deterministic for a fixed seed. Only outcomes with nonzero count appear.
+    Deterministic for a fixed seed. Only outcomes with nonzero count
+    appear, in ascending index order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -581,8 +568,8 @@ def sample_counts(state: Statevector, shots: int, rng_seed: int) -> dict[str, in
     probs = probs / probs.sum()
     rng = np.random.default_rng(rng_seed)
     drawn = rng.multinomial(shots, probs)
-    hits = np.nonzero(drawn)[0]
-    return {index_to_bits(int(i), state.num_qubits): int(drawn[i]) for i in hits}
+    hits = np.flatnonzero(drawn)
+    return dict(zip(hits.tolist(), drawn[hits].tolist()))
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

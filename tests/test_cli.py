@@ -301,6 +301,14 @@ def test_sweep_files_and_rerun_identical(tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_sweep_unwritable_out_exits_2_before_any_trial(tmp_path, monkeypatch, capsys, caplog):
+    monkeypatch.setattr(cli, "fidelity_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+    taken = _write(tmp_path / "taken", "a file, not a directory\n")
+    assert main(["sweep", "--sizes", "3", "--trials", "1", "--out", taken]) == 2
+    assert "File exists" in caplog.text
+    capsys.readouterr()
+
+
 def test_sweep_usage_errors(capsys):
     assert main(["sweep", "--sizes", "3,x"]) == 1
     assert main(["sweep", "--fidelities", "0.9,high"]) == 1

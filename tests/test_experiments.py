@@ -108,6 +108,14 @@ def test_sweep_config_validation():
         SweepConfig(layer_policy="deepest")
 
 
+def test_sweep_config_refuses_an_empty_fidelity_grid():
+    # an empty grid would run no trial and write empty files
+    with pytest.raises(ValueError, match="fidelities"):
+        SweepConfig(fidelities=())
+    with pytest.raises(ValueError, match="fidelities"):
+        SweepConfig(fidelities=[])
+
+
 def test_sweep_config_refuses_a_negative_seed():
     SweepConfig(seed=0)
     with pytest.raises(ValueError, match="seed"):

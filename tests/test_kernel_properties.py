@@ -33,7 +33,6 @@ from qsalign.simcore import (
     Gate,
     Statevector,
     apply_circuit,
-    apply_gate,
     cnot,
     parse_circuit,
     run_circuit,
@@ -145,8 +144,9 @@ def test_circuit_matches_mask_kernel_exactly(circuit, seed):
 def test_single_gates_match_mask_kernel_exactly(circuit, seed):
     state = Statevector(circuit.num_qubits, _random_amplitudes(circuit.num_qubits, seed))
     for gate in circuit.gates:
-        expected = _reference_circuit(state.amplitudes, Circuit(circuit.num_qubits, (gate,)))
-        state = apply_gate(state, gate)
+        single = Circuit(circuit.num_qubits, (gate,))
+        expected = _reference_circuit(state.amplitudes, single)
+        state = apply_circuit(state, single)
         assert np.array_equal(state.amplitudes, expected)
 
 
@@ -163,8 +163,8 @@ def test_inputs_never_mutated_even_when_strided(circuit, seed, step):
 
     out = apply_circuit(state, circuit)
     assert np.array_equal(out.amplitudes, expected)
-    single = apply_gate(state, circuit.gates[0])
     first = Circuit(n, circuit.gates[:1])
+    single = apply_circuit(state, first)
     assert np.array_equal(single.amplitudes, _reference_circuit(strided.copy(), first))
     assert np.array_equal(backing, pristine)
     assert state.amplitudes is strided

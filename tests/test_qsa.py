@@ -4,6 +4,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import qsalign.qsa as qsa
 from qsalign.experiments import calibrated_loader, random_database, random_target
 from qsalign.grover import (
     grover_layer,
@@ -74,27 +75,25 @@ def test_count_matches():
 def test_accuracy_frozen_example():
     # uniform counts against a one-hot ideal in dimension 4: cosine of
     # (1/2,1/2,1/2,1/2) with (1,0,0,0) is exactly 1/2
-    ideal = {"00": 1.0}
-    counts = {"00": 25, "01": 25, "10": 25, "11": 25}
+    ideal = {0: 1.0}
+    counts = {0: 25, 1: 25, 2: 25, 3: 25}
     assert np.isclose(accuracy(counts, ideal), 0.5)
 
 
 def test_accuracy_perfect_and_scale_invariant():
-    ideal = {"00": 0.5, "01": 0.25, "10": 0.25}
-    counts = {"00": 2000, "01": 1000, "10": 1000}
+    ideal = {0: 0.5, 1: 0.25, 2: 0.25}
+    counts = {0: 2000, 1: 1000, 2: 1000}
     assert np.isclose(accuracy(counts, ideal), 1.0)
     scaled = {k: v * 7 for k, v in counts.items()}
     assert np.isclose(accuracy(scaled, ideal), accuracy(counts, ideal))
 
 
 def test_accuracy_validation():
-    ideal = {"00": 1.0}
-    with pytest.raises(ValueError):
+    ideal = {0: 1.0}
+    with pytest.raises(ValueError, match="empty"):
         accuracy({}, ideal)
-    with pytest.raises(ValueError):
-        accuracy({"000": 5}, ideal)
-    with pytest.raises(ValueError):
-        accuracy({"00": 0}, ideal)
+    with pytest.raises(ValueError, match="zero"):
+        accuracy({0: 0}, ideal)
 
 
 def _assert_ideal_matches_gate_level(db, target):
@@ -109,8 +108,8 @@ def _assert_ideal_matches_gate_level(db, target):
             assert len(ideal) == db.size
             support = np.zeros(probs.size, dtype=bool)
             for outcome, prob in ideal.items():
-                support[int(outcome, 2)] = True
-                assert abs(probs[int(outcome, 2)] - prob) <= 1e-12, (delta, p, outcome)
+                support[outcome] = True
+                assert abs(probs[outcome] - prob) <= 1e-12, (delta, p, outcome)
             assert probs[~support].sum() <= 1e-12, (delta, p)
 
 
@@ -152,9 +151,29 @@ def test_run_qsa_accuracy_matches_dense_gate_level_reference():
             v = run_circuit(search_circuit(prep, oracle, result.layers_used)).probabilities()
             u = np.zeros_like(v)
             for outcome, count in result.counts.items():
-                u[int(outcome, 2)] = count
+                u[outcome] = count
             expected = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
             assert abs(result.accuracy - expected) <= 1e-12, (n, trial)
+
+
+def test_tied_counts_go_to_the_lowest_basis_index(monkeypatch):
+    # 100 and 001 both sit at d_min = 1 with equal counts; 001 has the lower
+    # index though 100 comes first in the database, and the non-entry 000
+    # outnumbers both
+    db = Database(3, ("100", "001", "111"))
+    target = TargetSequence("000")
+    layout = RegisterLayout(3)
+    fake = {
+        layout.pack_index(0b000, 0b000, 0): 50,
+        layout.pack_index(0b001, 0b001, 1): 20,
+        layout.pack_index(0b100, 0b100, 1): 20,
+        layout.pack_index(0b111, 0b111, 3): 30,
+    }
+    assert list(fake) == sorted(fake)
+    monkeypatch.setattr(qsa, "sample_counts", lambda state, shots, seed: fake)
+    result = run_qsa(exact_loader(db), db, target, QsaConfig(rng_seed=0))
+    assert (result.match, result.distance, result.degraded) == ("001", 1, False)
+    assert result.counts is fake
 
 
 def test_run_qsa_exact_match():

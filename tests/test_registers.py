@@ -120,10 +120,13 @@ def test_pack_split_roundtrip():
 
 
 def test_outcome_bit_slices():
+    # an outcome is a full-register basis index; its low n bits are the data
     layout = RegisterLayout(3)
-    # outcome strings read <distance><sample><data>
-    outcome = "01" + "010" + "101"
-    assert layout.data_bits(outcome) == "101"
+    assert layout.data_index(0b01_010_101) == 0b101
+    for d in range(8):
+        for s in range(8):
+            for hv in range(4):
+                assert layout.data_index(layout.pack_index(d, s, hv)) == d
 
 
 def test_database_state_amplitudes():

@@ -10,13 +10,11 @@ from qsalign.simcore import (
     Gate,
     Statevector,
     apply_circuit,
-    apply_gate,
     basis_state,
     cnot,
     concat,
     fidelity,
     h,
-    index_to_bits,
     invert,
     mcx,
     mcz,
@@ -64,43 +62,35 @@ def test_gate_matrix_fixed_at_construction():
     with pytest.raises(ValueError, match=r"touches qubits \[3\] outside \[0, 2\)"):
         Circuit(2, (x(3, controls=(1,)),))
     with pytest.raises(ValueError, match=r"touches qubits \[2\] outside \[0, 2\)"):
-        apply_gate(zero_state(2), x(0, controls=(2,)))
+        apply_circuit(zero_state(2), Circuit(2, (x(0, controls=(2,)),)))
 
 
 def test_qubit_zero_is_least_significant():
-    state = apply_gate(zero_state(3), x(0))
+    state = apply_circuit(zero_state(3), Circuit(3, (x(0),)))
     assert np.isclose(abs(state.amplitudes[1]), 1.0)
-    state = apply_gate(zero_state(3), x(2))
+    state = apply_circuit(zero_state(3), Circuit(3, (x(2),)))
     assert np.isclose(abs(state.amplitudes[4]), 1.0)
 
 
-def test_bit_index_roundtrip():
-    # outcome strings read most-significant qubit first
-    assert index_to_bits(1, 3) == "001"
-    assert index_to_bits(4, 3) == "100"
-    for i in range(16):
-        assert int(index_to_bits(i, 4), 2) == i
-
-
 def test_hadamard_and_z():
-    plus = apply_gate(zero_state(1), h(0))
+    plus = apply_circuit(zero_state(1), Circuit(1, (h(0),)))
     assert np.allclose(plus.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-    back = apply_gate(plus, h(0))
+    back = apply_circuit(plus, Circuit(1, (h(0),)))
     assert np.allclose(back.amplitudes, [1, 0], atol=1e-12)
-    minus = apply_gate(plus, z(0))
+    minus = apply_circuit(plus, Circuit(1, (z(0),)))
     assert np.allclose(minus.amplitudes, [1 / math.sqrt(2), -1 / math.sqrt(2)])
 
 
 def test_rotation_matrices():
     # RY(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>
     theta = 0.7368
-    state = apply_gate(zero_state(1), ry(0, theta))
+    state = apply_circuit(zero_state(1), Circuit(1, (ry(0, theta),)))
     assert np.allclose(state.amplitudes, [math.cos(theta / 2), math.sin(theta / 2)])
     # RX(pi) acts as X up to global phase
-    state = apply_gate(zero_state(1), rx(0, math.pi))
+    state = apply_circuit(zero_state(1), Circuit(1, (rx(0, math.pi),)))
     assert np.isclose(abs(state.amplitudes[1]), 1.0)
     # RZ only phases
-    state = apply_gate(apply_gate(zero_state(1), h(0)), rz(0, theta))
+    state = apply_circuit(zero_state(1), Circuit(1, (h(0), rz(0, theta))))
     assert np.allclose(np.abs(state.amplitudes) ** 2, [0.5, 0.5])
 
 
@@ -108,7 +98,7 @@ def test_cnot_truth_table():
     for a in range(2):
         for b in range(2):
             start = basis_state(2, a | (b << 1))
-            out = apply_gate(start, cnot(0, 1))  # control qubit 0, target qubit 1
+            out = apply_circuit(start, Circuit(2, (cnot(0, 1),)))  # control qubit 0, target qubit 1
             expected = a | ((b ^ a) << 1)
             assert np.isclose(abs(out.amplitudes[expected]), 1.0)
 
@@ -117,7 +107,7 @@ def test_polarity_controls():
     # fires only when qubit 0 is 1 and qubit 1 is 0
     gate = x(2, controls=((0, 1), (1, 0)))
     for idx in range(8):
-        out = apply_gate(basis_state(3, idx), gate)
+        out = apply_circuit(basis_state(3, idx), Circuit(3, (gate,)))
         fires = (idx & 1) and not (idx >> 1 & 1)
         expected = idx ^ (4 if fires else 0)
         assert np.isclose(abs(out.amplitudes[expected]), 1.0), idx
@@ -127,10 +117,10 @@ def test_mcx_and_mcz_exhaustive():
     gate_x = mcx(((0, 1), (1, 1)), 2)
     gate_z = mcz(((0, 1), (1, 1)), 2)
     for idx in range(8):
-        out_x = apply_gate(basis_state(3, idx), gate_x)
+        out_x = apply_circuit(basis_state(3, idx), Circuit(3, (gate_x,)))
         both = (idx & 3) == 3
         assert np.isclose(abs(out_x.amplitudes[idx ^ (4 if both else 0)]), 1.0)
-        out_z = apply_gate(basis_state(3, idx), gate_z)
+        out_z = apply_circuit(basis_state(3, idx), Circuit(3, (gate_z,)))
         sign = -1.0 if idx == 7 else 1.0
         assert np.isclose(out_z.amplitudes[idx], sign)
 
@@ -195,20 +185,32 @@ def test_basis_state_bounds():
 
 
 def test_sample_counts_deterministic_and_consistent():
-    state = apply_gate(apply_gate(zero_state(2), h(0)), h(1))
+    state = apply_circuit(zero_state(2), Circuit(2, (h(0), h(1))))
     counts = sample_counts(state, 4096, 7)
     assert sum(counts.values()) == 4096
     assert counts == sample_counts(state, 4096, 7)
     assert counts != sample_counts(state, 4096, 8)
-    # uniform state: every outcome near 1024
-    assert set(counts) == {"00", "01", "10", "11"}
+    # uniform state: every outcome near 1024, keyed by basis index in order
+    assert list(counts) == [0, 1, 2, 3]
+    assert all(type(k) is int and type(c) is int for k, c in counts.items())
     assert all(abs(c - 1024) < 200 for c in counts.values())
 
 
 def test_sample_counts_skips_zero_probability():
-    state = apply_gate(zero_state(2), h(0))  # support on 00 and 01 only
+    state = apply_circuit(zero_state(2), Circuit(2, (h(0),)))  # support on 0 and 1 only
     counts = sample_counts(state, 2000, 3)
-    assert set(counts) <= {"00", "01"}
+    assert list(counts) == [0, 1]
+    assert sum(counts.values()) == 2000
+    # six scattered basis states of five qubits: keys ascend over the gaps
+    support = [3, 7, 12, 18, 25, 30]
+    amps = np.zeros(32, dtype=complex)
+    amps[support] = [0.1, 0.5, 0.2, 0.6, 0.3, 0.5]
+    amps /= np.linalg.norm(amps)
+    for seed in range(5):
+        counts = sample_counts(Statevector(5, amps), 300, seed)
+        assert list(counts) == sorted(counts) and set(counts) <= set(support)
+        assert all(type(k) is int for k in counts)
+        assert sum(counts.values()) == 300
 
 
 def test_fidelity():
@@ -216,7 +218,7 @@ def test_fidelity():
     b = basis_state(2, 1)
     assert fidelity(a, a) == 1.0
     assert fidelity(a, b) == 0.0
-    plus = apply_gate(zero_state(1), h(0))
+    plus = apply_circuit(zero_state(1), Circuit(1, (h(0),)))
     assert np.isclose(fidelity(plus, zero_state(1)), 0.5)
     with pytest.raises(ValueError):
         fidelity(a, zero_state(3))
