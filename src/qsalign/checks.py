@@ -122,9 +122,10 @@ def check_closed_form(sizes, per_size: int, seed: int) -> CheckResult:
         for _ in range(per_size):
             db = random_database(n, "floor", rng)
             target = random_target(n, rng)
-            choices = [d for d in range(n + 1) if count_matches(db, target, d)]
+            matches = [count_matches(db, target, d) for d in range(n + 1)]
+            choices = [d for d in range(n + 1) if matches[d]]
             delta = int(choices[rng.integers(len(choices))])
-            c = count_matches(db, target, delta)
+            c = matches[delta]
             prep = initialisation_unitary(exact_loader(db), target, layout)
             layer = grover_layer(prep, phase_oracle(layout, delta))
             state = run_circuit(prep)

@@ -250,7 +250,7 @@ def _cmd_gasp(args) -> int:
         raise _UsageError(str(exc)) from exc
 
     result = gasp_prepare(database_state(db), config)
-    cnots = sum(1 for g in result.circuit.gates if g.kind == "CNOT")
+    cnots = sum(1 for g in result.circuit.gates if g.controls)
     print(
         json.dumps(
             {

@@ -9,6 +9,7 @@ summary, and per-size plot files whose bytes depend only on the seed.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import functools
 import json
@@ -200,14 +201,13 @@ def layer_study(n: int, p_max: int, seed=None, shots: int = 4096) -> list[LayerP
     return points
 
 
-def _trial_seed(master: int, n: int, fidelity_index: int, trial: int) -> int:
-    root = np.random.SeedSequence([master, n, fidelity_index, trial])
-    return int(root.generate_state(1)[0])
+def sub_seed(*entropy: int) -> int:
+    """Seed of an independent stream derived from a tuple of integers.
 
-
-def sub_seed(seed: int, purpose: int) -> int:
-    """Seed of an independent stream derived from ``seed`` for one purpose."""
-    return int(np.random.SeedSequence([seed, purpose]).generate_state(1)[0])
+    ``sub_seed(seed, purpose)`` gives one purpose of a seed its own stream;
+    a sweep trial's seed is ``sub_seed(master, n, fidelity_index, trial)``.
+    """
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 def calibrated_loader(
@@ -343,7 +343,7 @@ def fidelity_sweep(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     grid = [
-        (n, target_fidelity, _trial_seed(config.seed, n, fidelity_index, trial), trial)
+        (n, target_fidelity, sub_seed(config.seed, n, fidelity_index, trial), trial)
         for n in config.qubit_sizes
         for fidelity_index, target_fidelity in enumerate(config.fidelities)
         for trial in range(config.trials_per_point)
@@ -358,17 +358,15 @@ def fidelity_sweep(
         mode=mode,
     )
     records: list[SweepRecord] = []
-    if jobs == 1:
-        for point in grid:
-            records.append(trial_fn(*point))
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if jobs > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+            mapper = functools.partial(pool.map, chunksize=4)
+        for record in mapper(trial_fn, *zip(*grid)):
+            records.append(record)
             if progress is not None:
-                progress(len(records), len(grid), records[-1])
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for record in pool.map(trial_fn, *zip(*grid), chunksize=4):
-                records.append(record)
-                if progress is not None:
-                    progress(len(records), len(grid), record)
+                progress(len(records), len(grid), record)
     for record in records:
         if record.error is not None:
             logger.warning(

@@ -29,7 +29,7 @@ _ROTATIONS = ("RX", "RY", "RZ")
 # rotation is its template re-angled by Gate.with_angle, which skips the
 # constructor's validation, and a CNOT is immutable, so genomes share it
 _ROTATION_TEMPLATES = {
-    (kind, q): Gate(kind, (q,), (), 0.0) for kind in _ROTATIONS for q in range(MAX_QUBITS)
+    (kind, q): Gate(kind, q, (), 0.0) for kind in _ROTATIONS for q in range(MAX_QUBITS)
 }
 _CNOTS = {(c, t): cnot(c, t) for c in range(MAX_QUBITS) for t in range(MAX_QUBITS) if c != t}
 
@@ -102,6 +102,7 @@ def _random_rotation(rng: np.random.Generator, kind: str, qubit: int) -> Gate:
 
 
 def _random_gene(rng: np.random.Generator, num_qubits: int) -> Gate:
+    # "CNOT" names a draw here, not a gate kind: it yields a one-control X
     kinds = _ROTATIONS + (("CNOT",) if num_qubits >= 2 else ())
     kind = kinds[rng.integers(len(kinds))]
     if kind == "CNOT":
@@ -189,7 +190,7 @@ def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int):
         # mutations can pull apart
         position = int(rng.integers(len(genes) + 1))
         gene = _random_gene(rng, num_qubits)
-        if gene.kind == "CNOT":
+        if gene.controls:  # only a CNOT gene has controls
             if len(genes) + 2 <= _MAX_GENES:
                 genes.insert(position, gene)
                 genes.insert(position, gene)

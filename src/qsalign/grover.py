@@ -6,8 +6,8 @@ whose distance register equals the probe distance delta. diffusion
 reflects about the full prepared state by conjugating a reflection about
 a basis state with the initialisation circuit past its leading X gates:
 about |0, t, 0> for an alignment, t the target. Both sign flips are one
-MCZ, and both are reflections, so each squares to the identity (up to
-global phase, which nothing here observes).
+controlled Z, and both are reflections, so each squares to the identity
+(up to global phase, which nothing here observes).
 
 make_plan is the one layer planner. Both of its policies scan from zero
 layers, so a probe whose oracle marks every entry runs none.
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .registers import RegisterLayout
-from .simcore import Circuit, Statevector, concat, invert, mcz, x
+from .simcore import Circuit, Statevector, concat, invert, x, z
 
 # layer-count policies make_plan accepts: the paper's closed-form ceiling,
 # and the exact integer argmax of the success probability
@@ -41,13 +41,13 @@ class GroverPlan:
 def _flip_sign(num_qubits: int, pattern: tuple[tuple[int, int], ...]) -> Circuit:
     """Multiply by -1 exactly on basis states matching ``pattern``.
 
-    ``pattern`` is a tuple of (qubit, bit) pairs. One MCZ hosts the Z on
-    the first qubit at bit 1, controlled by the others at their bits; with
-    no such qubit, the first hosts it between two X gates.
+    ``pattern`` is a tuple of (qubit, bit) pairs. One Z sits on the first
+    qubit at bit 1, controlled by the others at their bits; with no such
+    qubit, it sits on the first between two X gates.
     """
     host = next((i for i, (_, bit) in enumerate(pattern) if bit), 0)
     qubit, bit = pattern[host]
-    core = mcz(pattern[:host] + pattern[host + 1:], qubit)
+    core = z(qubit, pattern[:host] + pattern[host + 1:])
     wrap = () if bit else (x(qubit),)
     return Circuit(num_qubits, wrap + (core,) + wrap)
 
@@ -70,13 +70,14 @@ def diffusion(prep: Circuit) -> Circuit:
     each qubit is the parity of its X gates. So the diffusion undoes R,
     flips the sign of that one basis state, and redoes R. Equals
     2|psi><psi| - I up to global phase. An empty preparation gives the
-    3-gate reflection about |0...0>: the MCZ on qubit 0 between two X gates.
+    3-gate reflection about |0...0>: the controlled Z on qubit 0 between two
+    X gates.
     """
     gates = prep.gates
     bits = [0] * prep.num_qubits
     lead = 0
     while lead < len(gates) and gates[lead].kind == "X" and not gates[lead].controls:
-        bits[gates[lead].targets[0]] ^= 1
+        bits[gates[lead].target] ^= 1
         lead += 1
     rest = Circuit(prep.num_qubits, gates[lead:])
     return concat(invert(rest), _flip_sign(prep.num_qubits, tuple(enumerate(bits))), rest)

@@ -33,7 +33,7 @@ from .simcore import Circuit, run_circuit, sample_counts
 logger = logging.getLogger(__name__)
 
 # gate kinds whose matrix is diagonal in the computational basis, with any controls
-_DIAGONAL_KINDS = frozenset({"RZ", "Z", "MCZ"})
+_DIAGONAL_KINDS = frozenset({"RZ", "Z"})
 
 
 @dataclass(frozen=True)
@@ -88,25 +88,27 @@ def count_matches(db: Database, target: TargetSequence, delta: int) -> int:
 
 
 def ideal_distribution(
-    db: Database, target: TargetSequence, delta: int, layers: int
+    distance: dict[str, int], target: TargetSequence, delta: int, layers: int
 ) -> dict[int, float]:
     """Outcome probabilities after ``layers`` layers at ``delta`` on an exact loader.
 
-    Each entry d is one branch |d, d xor t, h>, h its Hamming distance to
-    t, keyed by its full-register basis index and listed in database
-    order. The c branches
-    at distance delta share sin^2((2p+1) theta), sin^2 theta = c/N (Boyer,
-    Brassard, Hoyer & Tapp, 1998), the rest share the remainder, and with
-    c = 0 every branch keeps 1/N. Outcomes left out have probability zero.
+    ``distance`` maps each database entry, in database order, to its
+    Hamming distance h to the target t, as ``run_qsa``'s table does. Each
+    entry d is one branch |d, d xor t, h>, keyed by its full-register
+    basis index in that order. The c branches at distance delta share
+    sin^2((2p+1) theta), sin^2 theta = c/N (Boyer, Brassard, Hoyer & Tapp,
+    1998), the rest share the remainder, and with c = 0 every branch keeps
+    1/N. Outcomes left out have probability zero.
     """
-    layout = RegisterLayout(db.n)
+    layout = RegisterLayout(len(target.bits))
     t = int(target.bits, 2)
-    distances = {int(e, 2): hamming(e, target.bits) for e in db.entries}
-    c = sum(1 for h in distances.values() if h == delta)
-    hit = success_probability(layers, db.size, c) if c else 0.0
+    branches = {int(e, 2): h for e, h in distance.items()}
+    size = len(branches)
+    c = sum(1 for h in branches.values() if h == delta)
+    hit = success_probability(layers, size, c) if c else 0.0
     return {
-        layout.pack_index(d, d ^ t, h): hit / c if h == delta else (1.0 - hit) / (db.size - c)
-        for d, h in distances.items()
+        layout.pack_index(d, d ^ t, h): hit / c if h == delta else (1.0 - hit) / (size - c)
+        for d, h in branches.items()
     }
 
 
@@ -188,7 +190,7 @@ def run_qsa(
             layers_used=layers,
             delta_trace=tuple(delta_trace),
             counts=counts,
-            accuracy=accuracy(counts, ideal_distribution(db, target, delta, layers)),
+            accuracy=accuracy(counts, ideal_distribution(distance, target, delta, layers)),
             degraded=degraded,
         )
 

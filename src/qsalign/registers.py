@@ -30,7 +30,6 @@ from .simcore import (
     Statevector,
     cnot,
     concat,
-    mcx,
     x,
 )
 
@@ -62,9 +61,6 @@ class Alphabet:
         except ValueError:
             raise ValueError(f"symbol {letter!r} not in alphabet {self.letters}") from None
         return format(i, f"0{self.bits_per_letter}b")
-
-
-DNA = Alphabet(("A", "T", "G", "C"))
 
 
 def encode_sequence(text: str, alphabet: Alphabet) -> str:
@@ -221,7 +217,7 @@ def state_preparation_circuit(state: Statevector) -> Circuit:
 def _tree_gate(kind: str, n: int, j: int, v: int) -> Gate:
     """Rotation on qubit j, controlled by the n-1-j qubits above it at prefix v."""
     controls = [(j + 1 + t, (v >> t) & 1) for t in range(n - 1 - j)]
-    return Gate(kind, (j,), controls, 0.0)
+    return Gate(kind, j, controls, 0.0)
 
 
 def exact_loader(db: Database) -> Circuit:
@@ -255,7 +251,7 @@ def popcount_operator(layout: RegisterLayout) -> Circuit:
     """Writes popcount(sample) into the distance register.
 
     One controlled +1 incrementer per sample qubit, each a descending
-    carry-style chain of multi-controlled X gates. Assumes the distance
+    carry-style chain of controlled X gates. Assumes the distance
     register starts in |0>^k; the count never overflows since
     popcount <= n < 2^k. A carry into bit m needs the count's low m bits
     all 1, so a count of at least 2^m - 1. Before the i-th incrementer
@@ -270,7 +266,7 @@ def popcount_operator(layout: RegisterLayout) -> Circuit:
     for i, s in enumerate(layout.sample, start=1):
         for m in range(min(layout.k, i.bit_length()) - 1, -1, -1):
             controls = [(s, 1)] + [(dist[t], 1) for t in range(m)]
-            gates.append(mcx(controls, dist[m]))
+            gates.append(x(dist[m], controls))
     return Circuit(layout.total, tuple(gates))
 
 

@@ -25,11 +25,8 @@ from operator import attrgetter
 import numpy as np
 
 ROTATION_KINDS = frozenset({"RX", "RY", "RZ"})
-GATE_KINDS = frozenset({"X", "H", "Z", "RX", "RY", "RZ", "CNOT", "MCX", "MCZ"})
-
-# X-like kinds permute amplitudes, Z-like kinds flip signs, the rest mix.
-_X_LIKE = frozenset({"X", "CNOT", "MCX"})
-_Z_LIKE = frozenset({"Z", "MCZ"})
+# X permutes amplitudes, Z flips signs, the rest mix; every kind takes controls
+GATE_KINDS = frozenset({"X", "Z", "H", "RX", "RY", "RZ"})
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 _PACK_SELECT = struct.Struct("4q").pack
@@ -38,13 +35,12 @@ _MAX_QUBIT = attrgetter("max_qubit")
 
 
 def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
-    """Accept ints (positive control) or (qubit, polarity) pairs."""
+    """The (qubit, polarity) pairs as a tuple of int pairs."""
     out = []
     for c in controls:
-        if isinstance(c, (tuple, list)):
-            q, pol = int(c[0]), int(c[1])
-        else:
-            q, pol = int(c), 1
+        if not isinstance(c, (tuple, list)) or len(c) != 2:
+            raise ValueError(f"a control is a (qubit, polarity) pair, got {c!r}")
+        q, pol = int(c[0]), int(c[1])
         if pol not in (0, 1):
             raise ValueError(f"control polarity must be 0 or 1, got {pol}")
         out.append((q, pol))
@@ -53,7 +49,7 @@ def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate: a kind, target qubits, optional polarity-aware controls.
+    """One gate: a kind, one target qubit, optional polarity-aware controls.
 
     ``controls`` is a tuple of (qubit, polarity) pairs; the gate acts only
     on basis states where every control qubit matches its polarity. All
@@ -70,7 +66,7 @@ class Gate:
     """
 
     kind: str
-    targets: tuple[int, ...]
+    target: int
     controls: tuple[tuple[int, int], ...] = ()
     angle: float | None = None
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -82,12 +78,8 @@ class Gate:
         kind = self.kind
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
-        targets = tuple(map(int, self.targets))
+        target = int(self.target)
         controls = _normalize_controls(self.controls)
-        if len(targets) != 1:
-            raise ValueError(f"{kind} takes exactly one target, got {targets}")
-        if kind == "CNOT" and len(controls) != 1:
-            raise ValueError("CNOT takes exactly one control")
         angle = self.angle
         if kind in ROTATION_KINDS:
             if angle is None:
@@ -95,9 +87,9 @@ class Gate:
             angle = float(angle)
         elif angle is not None:
             raise ValueError(f"{kind} does not take an angle")
-        touched = targets + tuple(q for q, _ in controls)
+        touched = (target, *(q for q, _ in controls))
         if len(set(touched)) != len(touched):
-            raise ValueError(f"controls and targets must be disjoint: {list(touched)}")
+            raise ValueError(f"controls and target must be disjoint: {list(touched)}")
         if min(touched) < 0:
             raise ValueError(f"qubit indices must be >= 0, got {list(touched)}")
         top = max(touched)
@@ -106,7 +98,7 @@ class Gate:
         index = [_WHOLE_AXIS] * (top + 1)
         for q, pol in controls:
             index[top - q] = pol
-        axis = top - targets[0]
+        axis = top - target
         index[axis] = 0
         half0 = (Ellipsis, *index)
         index[axis] = 1
@@ -121,27 +113,27 @@ class Gate:
         # one write for every field: the class is frozen, and this runs for
         # each gate a synthesis mutation or a circuit inversion creates
         vars(self).update(
-            targets=targets,
+            target=target,
             controls=controls,
             angle=angle,
             matrix=_gate_matrix(kind, angle),
             max_qubit=top,
             _halves=(half0, (Ellipsis, *index)),
-            _select=_PACK_SELECT(targets[0], top, mask, value),
+            _select=_PACK_SELECT(target, top, mask, value),
         )
 
     def __reduce__(self):
         # rebuild through the constructor, so copies and unpickled gates get
         # the same read-only matrix and kernel index as the original
-        return Gate, (self.kind, self.targets, self.controls, self.angle)
+        return Gate, (self.kind, self.target, self.controls, self.angle)
 
     def qubits(self) -> tuple[int, ...]:
-        return self.targets + tuple(q for q, _ in self.controls)
+        return (self.target, *(q for q, _ in self.controls))
 
     def with_angle(self, angle: float) -> "Gate":
         """The same rotation on the same qubits and controls, at another angle.
 
-        Equal in every field to ``Gate(kind, targets, controls, angle)``,
+        Equal in every field to ``Gate(kind, target, controls, angle)``,
         but reuses this gate's validated fields and kernel index and builds
         only the new matrix.
         """
@@ -158,43 +150,35 @@ class Gate:
     def inverse(self) -> "Gate":
         if self.kind in ROTATION_KINDS:
             return self.with_angle(-self.angle)
-        return self  # X/H/Z/CNOT/MCX/MCZ are self-inverse
+        return self  # X, Z and H are self-inverse
 
 
 def x(target: int, controls=()) -> Gate:
-    return Gate("X", (target,), controls)
+    return Gate("X", target, controls)
+
+
+def z(target: int, controls=()) -> Gate:
+    return Gate("Z", target, controls)
 
 
 def h(target: int) -> Gate:
-    return Gate("H", (target,))
-
-
-def z(target: int) -> Gate:
-    return Gate("Z", (target,))
+    return Gate("H", target)
 
 
 def rx(target: int, angle: float, controls=()) -> Gate:
-    return Gate("RX", (target,), controls, angle)
+    return Gate("RX", target, controls, angle)
 
 
 def ry(target: int, angle: float, controls=()) -> Gate:
-    return Gate("RY", (target,), controls, angle)
+    return Gate("RY", target, controls, angle)
 
 
 def rz(target: int, angle: float, controls=()) -> Gate:
-    return Gate("RZ", (target,), controls, angle)
+    return Gate("RZ", target, controls, angle)
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate("CNOT", (target,), ((control, 1),))
-
-
-def mcx(controls, target: int) -> Gate:
-    return Gate("MCX", (target,), controls)
-
-
-def mcz(controls, target: int) -> Gate:
-    return Gate("MCZ", (target,), controls)
+    return x(target, ((control, 1),))
 
 
 @dataclass(frozen=True)
@@ -295,8 +279,8 @@ def _frozen(parts) -> np.ndarray:
 
 _FIXED_MATRICES = {
     "H": _frozen((_SQRT2_INV, 0.0, _SQRT2_INV, 0.0, _SQRT2_INV, 0.0, -_SQRT2_INV, 0.0)),
-    **dict.fromkeys(_X_LIKE, _frozen((0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0))),
-    **dict.fromkeys(_Z_LIKE, _frozen((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0))),
+    "X": _frozen((0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)),
+    "Z": _frozen((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0)),
 }
 
 
@@ -324,11 +308,11 @@ def _apply_gate_inplace(tensor: np.ndarray, gate: Gate) -> None:
     standard statevector simulators (Jones et al., 2019, QuEST).
     """
     half0, half1 = gate._halves
-    if gate.kind in _Z_LIKE:
+    if gate.kind == "Z":
         tensor[half1] *= -1.0
         return
     a = tensor[half0].copy()
-    if gate.kind in _X_LIKE:
+    if gate.kind == "X":
         tensor[half0] = tensor[half1]
         tensor[half1] = a
         return
@@ -342,7 +326,7 @@ def _apply_gate_inplace(tensor: np.ndarray, gate: Gate) -> None:
 
 # a run's key names the gates that move amplitudes (x) and those that negate
 # them (z); their packed _select bytes say on which basis states
-_RUN_CLASS = {**dict.fromkeys(_X_LIKE, "x"), **dict.fromkeys(_Z_LIKE, "z")}
+_RUN_CLASS = {"X": "x", "Z": "z"}
 _FUSED_RUN_MIN_GATES = 3
 
 
@@ -427,7 +411,7 @@ _RUNS = _SignedPermutations()
 
 
 def _apply_run(tensor: np.ndarray, run: list[Gate]) -> np.ndarray:
-    """Apply a maximal run of X- and Z-like gates; return the amplitudes' tensor.
+    """Apply a maximal run of X and Z gates; return the amplitudes' tensor.
 
     The result is ``tensor`` itself, updated in place, unless the run is
     gathered into a new array.
@@ -450,17 +434,18 @@ def _apply_run(tensor: np.ndarray, run: list[Gate]) -> np.ndarray:
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     """Apply every gate in order, returning a new statevector.
 
-    Consecutive X- and Z-like gates form maximal runs. A run of three or
-    more gates, with an X-like gate and a controlled gate among them, is
-    applied as one signed permutation: one gather ``out[source]``, skipped
-    where the run moves no amplitude, then one indexed negation. Both
+    Consecutive X and Z gates, with any controls, form maximal runs. A
+    run of three or more gates, with an X gate and a controlled gate among
+    them, is applied as one signed permutation: one gather
+    ``out[source]``, skipped where the run moves no amplitude, then one
+    indexed negation. Both
     index arrays are found once per distinct run, by applying its gates to
     signed index labels, and kept in a cache bounded in bytes (see
     ``_SignedPermutations``). Moving a value and multiplying it by -1.0
     are both exact, so every amplitude equals its gate-by-gate value; only
     the sign of a zero can differ. Every other gate goes one at a time: a
     run of uncontrolled gates is a per-target load, which would add a
-    cache entry per target; a run of Z-like gates alone moves nothing; and
+    cache entry per target; a run of Z gates alone moves nothing; and
     a run of one or two gates costs about what the gather does.
     """
     if circuit.num_qubits != state.num_qubits:
@@ -493,7 +478,7 @@ def run_sequences(num_qubits: int, sequences) -> np.ndarray:
 
     Returns a (P, 2^num_qubits) array whose row i equals, element for
     element, ``run_circuit`` on sequence i; only a zero's sign can differ,
-    since X- and Z-like gates go through their matrices here rather than
+    since X and Z gates go through their matrices here rather than
     a swap or a negation. Step j applies every row's
     j-th gate at once: each row gathers the 0-half ``a`` and 1-half ``b``
     of its target's pairs and takes ``u00*a + u01*b`` and ``u10*a + u11*b``,
@@ -582,16 +567,19 @@ def fidelity(a: Statevector, b: Statevector) -> float:
 
 # --- serialization -----------------------------------------------------------
 # Line-oriented text: header "qubits=<q>", then one gate per line,
-#   KIND targets=[...] controls=[(q,pol),...] angle=<radians>
-# with the angle field present only on rotation gates.
+#   KIND targets=[t] controls=[(q,pol),...] angle=<radians>
+# with the angle field present only on rotation gates. An X with exactly
+# one control is written CNOT; the reader also takes the MCX and MCZ of
+# older files, as X and Z.
+_LEGACY_KINDS = {"CNOT": "X", "MCX": "X", "MCZ": "Z"}
 
 
 def serialize_circuit(circuit: Circuit) -> str:
     lines = [f"qubits={circuit.num_qubits}"]
     for g in circuit.gates:
-        targets = "[" + ",".join(str(t) for t in g.targets) + "]"
+        kind = "CNOT" if g.kind == "X" and len(g.controls) == 1 else g.kind
         controls = "[" + ",".join(f"({q},{pol})" for q, pol in g.controls) + "]"
-        line = f"{g.kind} targets={targets} controls={controls}"
+        line = f"{kind} targets=[{g.target}] controls={controls}"
         if g.angle is not None:
             line += f" angle={g.angle!r}"
         lines.append(line)
@@ -606,10 +594,12 @@ def parse_circuit(text: str) -> Circuit:
     gates = []
     for ln in lines[1:]:
         fields = ln.split()
-        kind = fields[0]
+        kind = _LEGACY_KINDS.get(fields[0], fields[0])
         parts = dict(f.split("=", 1) for f in fields[1:])
-        targets = tuple(ast.literal_eval(parts["targets"]))
+        targets = ast.literal_eval(parts["targets"])
+        if len(targets) != 1:
+            raise ValueError(f"a gate takes exactly one target, got {ln!r}")
         controls = tuple(ast.literal_eval(parts.get("controls", "[]")))
         angle = float(parts["angle"]) if "angle" in parts else None
-        gates.append(Gate(kind, targets, controls, angle))
+        gates.append(Gate(kind, targets[0], controls, angle))
     return Circuit(num_qubits, tuple(gates))

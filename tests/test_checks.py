@@ -10,7 +10,7 @@ from qsalign.checks import (
     run_checks,
 )
 from qsalign.registers import popcount_operator
-from qsalign.simcore import Circuit, Gate, cnot, mcx, ry, rz
+from qsalign.simcore import Circuit, cnot, ry, rz, x
 
 
 def test_quick_level_all_pass():
@@ -39,7 +39,7 @@ def test_popcount_fault_injection():
         from qsalign.registers import popcount_operator
 
         circuit = popcount_operator(layout)
-        stray = Gate("X", (layout.total - 1,))
+        stray = x(layout.total - 1)
         return Circuit(circuit.num_qubits, circuit.gates + (stray,))
 
     result = check_popcount((3,), operator_factory=corrupted)
@@ -55,8 +55,8 @@ def test_popcount_fault_injection():
         lambda layout: ry(layout.distance[0], 0.3),
         lambda layout: rz(layout.distance[0], 0.3),
         # a flip on the one input s = 101 alone: the run covers every input
-        lambda layout: mcx([(q, (5 >> j) & 1) for j, q in enumerate(layout.sample)],
-                           layout.distance[0]),
+        lambda layout: x(layout.distance[0],
+                         [(q, (5 >> j) & 1) for j, q in enumerate(layout.sample)]),
     ],
     ids=["ry", "rz", "one-input"],
 )

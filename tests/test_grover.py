@@ -32,32 +32,31 @@ from qsalign.simcore import (
     cnot,
     concat,
     invert,
-    mcx,
-    mcz,
     ry,
     rz,
     run_circuit,
     x,
+    z,
 )
 
 
 def _reference_phase_oracle(layout, delta):
-    # reference: one MCZ on the lowest 1-bit of delta, or on the lowest
+    # reference: one controlled Z on the lowest 1-bit of delta, or on the lowest
     # distance qubit X-conjugated when delta is zero
     dist = list(layout.distance)
     bits = [(delta >> i) & 1 for i in range(layout.k)]
     if any(bits):
         t = bits.index(1)
         controls = [(dist[i], bits[i]) for i in range(layout.k) if i != t]
-        return Circuit(layout.total, (mcz(controls, dist[t]),))
+        return Circuit(layout.total, (z(dist[t], controls),))
     controls = [(dist[i], 0) for i in range(1, layout.k)]
-    return Circuit(layout.total, (x(dist[0]), mcz(controls, dist[0]), x(dist[0])))
+    return Circuit(layout.total, (x(dist[0]), z(dist[0], controls), x(dist[0])))
 
 
 def _reference_zero_reflection(num_qubits):
-    # reference: an MCZ wrapped in X gates on every qubit, 2q + 1 gates
+    # reference: a controlled Z wrapped in X gates on every qubit, 2q + 1 gates
     wrap = tuple(x(q) for q in range(num_qubits))
-    core = mcz([(q, 1) for q in range(1, num_qubits)], 0)
+    core = z(0, [(q, 1) for q in range(1, num_qubits)])
     return Circuit(num_qubits, wrap + (core,) + wrap)
 
 
@@ -113,7 +112,7 @@ def test_zero_reflection_signs():
 def test_search_states_bit_identical_to_reference_reflections(
     n, calibrated, instance_seed, requested
 ):
-    # X swaps halves exactly and MCZ negates exactly, so the 3-gate
+    # X swaps halves exactly and a controlled Z negates exactly, so the 3-gate
     # reflection must give the very same amplitudes as the X-wrapped one
     db = random_database(n, "floor", [instance_seed, 0])
     target = random_target(n, [instance_seed, 1])
@@ -161,15 +160,15 @@ def _preparations(draw):
     lead = draw(st.lists(qubits, max_size=2 * q))
     body = []
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["RY", "RZ", "CNOT", "MCX"]))
+        kind = draw(st.sampled_from(["RY", "RZ", "CNOT", "X"]))
         order = draw(st.permutations(range(q)))
         angle = draw(st.floats(-math.pi, math.pi))
         if kind == "CNOT":
             body.append(cnot(order[1], order[0]))
             continue
         controls = [(c, draw(st.integers(0, 1))) for c in order[1 : draw(st.integers(1, q))]]
-        if kind == "MCX":
-            body.append(mcx(controls, order[0]))
+        if kind == "X":  # no controls is drawn too: a body X the fold may take
+            body.append(x(order[0], controls))
         else:
             body.append((ry if kind == "RY" else rz)(order[0], angle, controls))
     return Circuit(q, tuple(x(t) for t in lead) + tuple(body))
@@ -191,24 +190,25 @@ def test_folded_diffusion_equals_the_unfolded_reflection(prep, seed):
     got = apply_circuit(state, folded).amplitudes
     expected = apply_circuit(state, unfolded).amplitudes
     assert np.max(np.abs(got - expected)) <= 1e-15
-    # the sign flip is one MCZ, X-wrapped only when every parity is 0
+    # the sign flip is one controlled Z, X-wrapped only when every parity is 0
     lead = next((i for i, g in enumerate(prep.gates) if g.kind != "X" or g.controls), len(prep))
     flipped = {q for q in range(prep.num_qubits)
-               if sum(g.targets[0] == q for g in prep.gates[:lead]) % 2}
+               if sum(g.target == q for g in prep.gates[:lead]) % 2}
     assert len(folded) == 2 * (len(prep) - lead) + (1 if flipped else 3)
 
 
 def test_diffusion_reflects_about_the_loaded_target_with_one_mcz():
-    # the target load leads the preparation, so the sign flip is one MCZ on
-    # |0, t, 0> and no X gate of the target load survives in the layer
+    # the target load leads the preparation, so the sign flip is one
+    # controlled Z on |0, t, 0> and no X gate of the target load survives in
+    # the layer: the layer's X gates all have controls (entangler, popcount)
     layout = RegisterLayout(3)
     db = Database(3, ("101", "010", "000"))
     prep = initialisation_unitary(exact_loader(db), TargetSequence("110"), layout)
     layer = grover_layer(prep, phase_oracle(layout, 1))
-    (flip,) = [g for g in layer.gates if g.kind == "MCZ" and len(g.controls) == layout.total - 1]
-    pattern = sorted(flip.controls + ((flip.targets[0], 1),))
+    (flip,) = [g for g in layer.gates if g.kind == "Z" and len(g.controls) == layout.total - 1]
+    pattern = sorted(flip.controls + ((flip.target, 1),))
     assert pattern == [(q, (layout.pack_index(0, 0b110, 0) >> q) & 1) for q in range(layout.total)]
-    assert not [g for g in layer.gates if g.kind == "X"]
+    assert not [g for g in layer.gates if g.kind == "X" and not g.controls]
 
 
 def test_layer_gate_counts_pinned():

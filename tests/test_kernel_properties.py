@@ -54,7 +54,7 @@ def _reference_rotation(kind, angle):
 
 def _reference_apply(amps, num_qubits, gate):
     """The mask kernel, in place on a contiguous amplitude array."""
-    target = gate.targets[0]
+    target = gate.target
     idx = np.arange(1 << num_qubits, dtype=np.int64)
     cmask = None
     if gate.controls:
@@ -62,7 +62,7 @@ def _reference_apply(amps, num_qubits, gate):
         for q, pol in gate.controls:
             cmask &= ((idx >> q) & 1) == pol
 
-    if gate.kind in ("Z", "MCZ"):
+    if gate.kind == "Z":
         mask = ((idx >> target) & 1) == 1
         if cmask is not None:
             mask &= cmask
@@ -75,7 +75,7 @@ def _reference_apply(amps, num_qubits, gate):
     i0 = np.nonzero(mask0)[0]
     i1 = i0 | (1 << target)
 
-    if gate.kind in ("X", "CNOT", "MCX"):
+    if gate.kind == "X":
         tmp = amps[i0].copy()
         amps[i0] = amps[i1]
         amps[i1] = tmp
@@ -100,18 +100,15 @@ def _reference_circuit(amplitudes, circuit):
 
 @st.composite
 def gates(draw, num_qubits, kinds=GATE_KINDS):
-    kinds = sorted(kinds if num_qubits >= 2 else kinds - {"CNOT"})
-    kind = draw(st.sampled_from(kinds))
+    """One gate of the given kinds, with 0 to num_qubits - 1 controls."""
+    kind = draw(st.sampled_from(sorted(kinds)))
     order = draw(st.permutations(range(num_qubits)))
-    if kind == "CNOT":
-        controls = ((order[1], 1),)
-    else:
-        count = draw(st.integers(0, num_qubits - 1))
-        controls = tuple((q, draw(st.integers(0, 1))) for q in order[1 : 1 + count])
+    count = draw(st.integers(0, num_qubits - 1))
+    controls = tuple((q, draw(st.integers(0, 1))) for q in order[1 : 1 + count])
     angle = None
     if kind in ROTATION_KINDS:
         angle = draw(st.floats(-4 * pi, 4 * pi, allow_nan=False, allow_infinity=False))
-    return Gate(kind, (order[0],), controls, angle)
+    return Gate(kind, order[0], controls, angle)
 
 
 @st.composite
@@ -208,8 +205,8 @@ def test_batched_runner_matches_run_circuit_on_a_ga_shaped_batch():
         kind = ("RX", "RY", "RZ", "CNOT")[rng.integers(4)]
         target, control = (int(q) for q in rng.permutation(num_qubits)[:2])
         if kind == "CNOT":
-            return Gate(kind, (target,), ((control, 1),))
-        return Gate(kind, (target,), (), rng.uniform(0, 2 * pi))
+            return cnot(control, target)
+        return Gate(kind, target, (), rng.uniform(0, 2 * pi))
 
     def polish(g):
         if g.angle is not None and rng.random() < 0.2:
@@ -237,7 +234,7 @@ def test_rotation_matrix_bit_identical_to_reference(kind, angle):
     # compared as raw bits: np.array_equal cannot see a flipped signed zero,
     # such as -s * 1j written where the reference has -1j * s (real part
     # -0.0 rather than +0.0 for s > 0 on CPython 3.11)
-    built = Gate(kind, (0,), (), angle).matrix
+    built = Gate(kind, 0, (), angle).matrix
     assert np.array_equal(built.view(np.uint64), _reference_rotation(kind, float(angle)).view(np.uint64))
 
 
@@ -250,7 +247,7 @@ def test_with_angle_equals_a_freshly_built_rotation(gate, angle):
         return
     before = dict(vars(gate))
     rebuilt = gate.with_angle(angle)
-    fresh = Gate(gate.kind, gate.targets, gate.controls, angle)
+    fresh = Gate(gate.kind, gate.target, gate.controls, angle)
     assert rebuilt == fresh
     assert vars(rebuilt).keys() == vars(fresh).keys()
     for name, value in vars(fresh).items():  # _halves and max_qubit included
@@ -263,28 +260,28 @@ def test_with_angle_equals_a_freshly_built_rotation(gate, angle):
     assert vars(gate) == before  # the original gate is untouched
 
 
-# --- runs of X- and Z-like gates applied as one signed permutation ---------
-# apply_circuit applies a run of three or more X- and Z-like gates, with an
-# X-like gate and a controlled gate among them, as one cached gather and
+# --- runs of X and Z gates applied as one signed permutation ---------------
+# apply_circuit applies a run of three or more X and Z gates, with an X
+# gate and a controlled gate among them, as one cached gather and
 # negation; these circuits put such runs, the palindromes among them that
 # only negate, and runs that go gate by gate between gates that mix
 # amplitudes.
 
-_X_KINDS = frozenset({"X", "CNOT", "MCX"})
-_Z_KINDS = frozenset({"Z", "MCZ"})
+_X_KINDS = frozenset({"X"})
+_Z_KINDS = frozenset({"Z"})
 _MIXING_KINDS = GATE_KINDS - _X_KINDS - _Z_KINDS
 
 
 @st.composite
 def sandwich_circuits(draw, max_qubits=8):
-    """Mixing gates, a run of X- and Z-like gates, mixing gates.
+    """Mixing gates, a run of X and Z gates, mixing gates.
 
-    The run is A, D, reversed(A), with A one or more X-like gates with
-    controls at both polarities and D zero or more Z-like gates, so it
-    cancels to a sign flip; or a variation of it: an odd palindrome, the
-    palindrome with one gate changed, Z-like gates alone, the palindrome
-    split by a mixing gate into a run ending at it and one starting after
-    it, or X- and Z-like gates in any order and number, which mostly move
+    The run is A, D, reversed(A), with A one or more X gates with controls
+    at both polarities and D zero or more Z gates, so it cancels to a sign
+    flip; or a variation of it: an odd palindrome, the palindrome with one
+    gate changed, Z gates alone, the palindrome split by a mixing gate
+    into a run ending at it and one starting after it, or X and Z gates in
+    any order and number, which mostly move
     amplitudes along cycles longer than two.
     """
     num_qubits = draw(st.integers(2, max_qubits))
@@ -342,9 +339,9 @@ def _apply_twice_exactly(circuit, seed):
 
 
 def test_a_cancelling_run_is_applied_as_one_cached_negation(runs):
-    moves = [cnot(0, 1), Gate("MCX", (2,), ((0, 0), (1, 1)))]
-    run = moves + [Gate("MCZ", (1,), ((2, 1),))] + moves[::-1]
-    circuit = Circuit(3, (Gate("H", (0,)), *run, Gate("H", (2,))))
+    moves = [cnot(0, 1), Gate("X", 2, ((0, 0), (1, 1)))]
+    run = moves + [Gate("Z", 1, ((2, 1),))] + moves[::-1]
+    circuit = Circuit(3, (Gate("H", 0), *run, Gate("H", 2)))
     _apply_twice_exactly(circuit, 5)
     assert (len(runs), runs.hits, runs.misses) == (1, 1, 1)
     source, negated = runs.lookup(3, "xxzxx", run)
@@ -355,8 +352,8 @@ def test_a_cancelling_run_is_applied_as_one_cached_negation(runs):
 def test_a_run_that_moves_amplitudes_is_one_cached_gather(runs):
     # CNOT(0->1), CNOT(1->0) sends |01> to |10> to |11> to |01>: a 3-cycle,
     # so a gather through the inverse permutation would differ
-    run = [cnot(0, 1), cnot(1, 0), Gate("MCZ", (0,), ((2, 0),)), Gate("X", (2,))]
-    circuit = Circuit(3, (Gate("H", (0,)), Gate("RY", (1,), (), 0.3), *run, Gate("H", (2,))))
+    run = [cnot(0, 1), cnot(1, 0), Gate("Z", 0, ((2, 0),)), Gate("X", 2)]
+    circuit = Circuit(3, (Gate("H", 0), Gate("RY", 1, (), 0.3), *run, Gate("H", 2)))
     _apply_twice_exactly(circuit, 7)
     assert (len(runs), runs.hits, runs.misses) == (1, 1, 1)
     source, negated = runs.lookup(3, "xxzx", run)
@@ -366,18 +363,18 @@ def test_a_run_that_moves_amplitudes_is_one_cached_gather(runs):
 
 
 def test_a_run_of_sign_gates_alone_goes_gate_by_gate(runs):
-    signs = (Gate("Z", (0,)), Gate("MCZ", (1,), ((2, 0),)), Gate("Z", (2,)))
-    circuit = Circuit(3, (Gate("H", (0,)), *signs, Gate("H", (2,))))
+    signs = (Gate("Z", 0), Gate("Z", 1, ((2, 0),)), Gate("Z", 2))
+    circuit = Circuit(3, (Gate("H", 0), *signs, Gate("H", 2)))
     _apply_twice_exactly(circuit, 6)
     assert _counts(runs) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("run", [
-    (Gate("X", (0,)), Gate("X", (2,)), Gate("Z", (1,))),  # uncontrolled: a target load
+    (Gate("X", 0), Gate("X", 2), Gate("Z", 1)),  # uncontrolled: a target load
     (cnot(0, 1), cnot(1, 2)),  # two gates
 ], ids=["uncontrolled", "two-gates"])
 def test_short_or_uncontrolled_runs_go_gate_by_gate(runs, run):
-    circuit = Circuit(3, (Gate("H", (0,)), Gate("H", (1,)), *run, Gate("H", (2,))))
+    circuit = Circuit(3, (Gate("H", 0), Gate("H", 1), *run, Gate("H", 2)))
     _apply_twice_exactly(circuit, 8)
     assert _counts(runs) == (0, 0, 0, 0)
 
@@ -391,8 +388,8 @@ def _distinct_runs(count, seed):
     circuits = []
     for _ in range(count):
         picks = [rng.permutation(6)[:2] for _ in range(4)]
-        run = [cnot(int(c), int(t)) for c, t in picks[:3]] + [Gate("Z", (int(picks[3][0]),))]
-        circuits.append(Circuit(6, (Gate("H", (0,)), Gate("H", (3,)), *run)))
+        run = [cnot(int(c), int(t)) for c, t in picks[:3]] + [Gate("Z", int(picks[3][0]))]
+        circuits.append(Circuit(6, (Gate("H", 0), Gate("H", 3), *run)))
     return circuits
 
 

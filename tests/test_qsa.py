@@ -31,7 +31,7 @@ from qsalign.registers import (
     hamming,
     initialisation_unitary,
 )
-from qsalign.simcore import Circuit, apply_circuit, mcz, ry, run_circuit, rz, sample_counts, z
+from qsalign.simcore import Circuit, apply_circuit, ry, run_circuit, rz, sample_counts, z
 
 
 def test_config_validation():
@@ -96,6 +96,10 @@ def test_accuracy_validation():
         accuracy({0: 0}, ideal)
 
 
+def _distances(db, target):
+    return {e: hamming(e, target.bits) for e in db.entries}
+
+
 def _assert_ideal_matches_gate_level(db, target):
     # every delta, attempted or not, and p = 0..4 against the full search
     # circuit on an exact loader
@@ -104,7 +108,7 @@ def _assert_ideal_matches_gate_level(db, target):
     for delta in range(db.n + 1):
         for p in range(5):
             probs = run_circuit(search_circuit(prep, phase_oracle(layout, delta), p)).probabilities()
-            ideal = ideal_distribution(db, target, delta, p)
+            ideal = ideal_distribution(_distances(db, target), target, delta, p)
             assert len(ideal) == db.size
             support = np.zeros(probs.size, dtype=bool)
             for outcome, prob in ideal.items():
@@ -129,8 +133,9 @@ def test_ideal_distribution_with_no_and_all_branches_marked():
     db = Database(3, ("011", "101", "110"))
     target = TargetSequence("000")
     _assert_ideal_matches_gate_level(db, target)
-    assert set(ideal_distribution(db, target, 1, 3).values()) == {1 / 3}
-    assert sum(ideal_distribution(db, target, 2, 3).values()) == pytest.approx(1.0, abs=1e-15)
+    distance = _distances(db, target)
+    assert set(ideal_distribution(distance, target, 1, 3).values()) == {1 / 3}
+    assert sum(ideal_distribution(distance, target, 2, 3).values()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_run_qsa_accuracy_matches_dense_gate_level_reference():
@@ -293,7 +298,7 @@ def test_probe_marking_every_entry_runs_no_layer():
     layout = RegisterLayout(3)
     prep = initialisation_unitary(loader, target, layout)
     one_layer = run_circuit(search_circuit(prep, phase_oracle(layout, d_min), 1))
-    ideal = ideal_distribution(db, target, d_min, 1)
+    ideal = ideal_distribution(_distances(db, target), target, d_min, 1)
     one_layer_accuracy = accuracy(sample_counts(one_layer, 4096, 12), ideal)
     for policy in ("paper_ceil", "best_integer"):
         result = run_qsa(loader, db, target, QsaConfig(layer_policy=policy, rng_seed=12))
@@ -353,7 +358,7 @@ def _random_diagonal_gates(n, rng, count):
         elif kind == 1:
             gates.append(z(qubits[0]))
         else:
-            gates.append(mcz(controls, qubits[0]))
+            gates.append(z(qubits[0], controls))
     return tuple(gates)
 
 

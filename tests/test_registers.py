@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsalign.registers import (
-    DNA,
     Alphabet,
     Database,
     RegisterLayout,
@@ -28,18 +27,20 @@ from qsalign.simcore import (
     apply_circuit,
     basis_state,
     fidelity,
-    mcx,
     ry,
     run_circuit,
     rz,
+    x,
     zero_state,
 )
+
+DNA = Alphabet(("A", "C", "G", "T"))
 
 
 def test_alphabet_codes():
     assert DNA.bits_per_letter == 2
     assert DNA.code("A") == "00"
-    assert DNA.code("C") == "11"
+    assert DNA.code("T") == "11"
     with pytest.raises(ValueError):
         DNA.code("X")
     with pytest.raises(ValueError):
@@ -49,7 +50,8 @@ def test_alphabet_codes():
 
 
 def test_encode_sequence():
-    assert encode_sequence("ATGC", DNA) == "00011011"
+    assert encode_sequence("ACGT", DNA) == "00011011"
+    assert encode_sequence("TGCA", DNA) == "11100100"
     assert encode_sequence("", DNA) == ""
     # three letters still need two bits each
     abc = Alphabet(("a", "b", "c"))
@@ -244,7 +246,7 @@ def _reference_popcount(layout):
     # the full chain: every incrementer runs all k carries
     dist = list(layout.distance)
     gates = [
-        mcx([(s, 1)] + [(dist[t], 1) for t in range(m)], dist[m])
+        x(dist[m], [(s, 1)] + [(dist[t], 1) for t in range(m)])
         for s in layout.sample
         for m in range(layout.k - 1, -1, -1)
     ]

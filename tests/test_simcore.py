@@ -4,8 +4,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsalign.simcore import (
+    GATE_KINDS,
+    ROTATION_KINDS,
     Circuit,
     Gate,
     Statevector,
@@ -16,8 +20,6 @@ from qsalign.simcore import (
     fidelity,
     h,
     invert,
-    mcx,
-    mcz,
     parse_circuit,
     run_circuit,
     run_sequences,
@@ -34,15 +36,15 @@ from qsalign.simcore import (
 
 def test_gate_validation():
     with pytest.raises(ValueError):
-        Gate("Y", (0,))
+        Gate("Y", 0)
     with pytest.raises(ValueError):
-        Gate("RX", (0,))  # rotation without an angle
+        Gate("RX", 0)  # rotation without an angle
     with pytest.raises(ValueError):
-        Gate("X", (0,), angle=0.5)
+        Gate("X", 0, angle=0.5)
+    with pytest.raises(ValueError, match="unknown gate kind 'CNOT'"):
+        Gate("CNOT", 1, ((0, 1),))  # a controlled X is kind X
     with pytest.raises(ValueError):
-        Gate("CNOT", (1,))  # needs exactly one control
-    with pytest.raises(ValueError):
-        Gate("X", (0,), controls=((0, 1),))  # control overlaps target
+        Gate("X", 0, controls=((0, 1),))  # control overlaps target
 
 
 def test_gate_matrix_fixed_at_construction():
@@ -58,11 +60,11 @@ def test_gate_matrix_fixed_at_construction():
     assert again == gate and hash(again) == hash(gate)
     assert np.array_equal(again.matrix, gate.matrix) and not again.matrix.flags.writeable
     with pytest.raises(ValueError):
-        Gate("X", (-1,))
+        Gate("X", -1)
     with pytest.raises(ValueError, match=r"touches qubits \[3\] outside \[0, 2\)"):
-        Circuit(2, (x(3, controls=(1,)),))
+        Circuit(2, (x(3, controls=((1, 1),)),))
     with pytest.raises(ValueError, match=r"touches qubits \[2\] outside \[0, 2\)"):
-        apply_circuit(zero_state(2), Circuit(2, (x(0, controls=(2,)),)))
+        apply_circuit(zero_state(2), Circuit(2, (x(0, controls=((2, 1),)),)))
 
 
 def test_qubit_zero_is_least_significant():
@@ -114,8 +116,8 @@ def test_polarity_controls():
 
 
 def test_mcx_and_mcz_exhaustive():
-    gate_x = mcx(((0, 1), (1, 1)), 2)
-    gate_z = mcz(((0, 1), (1, 1)), 2)
+    gate_x = x(2, ((0, 1), (1, 1)))
+    gate_z = z(2, ((0, 1), (1, 1)))
     for idx in range(8):
         out_x = apply_circuit(basis_state(3, idx), Circuit(3, (gate_x,)))
         both = (idx & 3) == 3
@@ -164,7 +166,7 @@ def test_concat_and_width_checks():
 
 
 def test_run_sequences_range_check_matches_circuit():
-    for gate in (x(2), cnot(3, 0), mcz(((0, 1), (4, 0)), 1)):
+    for gate in (x(2), cnot(3, 0), z(1, ((0, 1), (4, 0)))):
         with pytest.raises(ValueError) as by_circuit:
             Circuit(2, (h(0), gate))
         with pytest.raises(ValueError) as by_batch:
@@ -236,7 +238,7 @@ def test_serialize_parse_roundtrip():
             h(0),
             x(1, controls=((0, 0),)),
             ry(2, 1.234567890123456),
-            mcz(((0, 1), (1, 0)), 2),
+            z(2, ((0, 1), (1, 0))),
             cnot(1, 2),
         ),
     )
@@ -246,3 +248,65 @@ def test_serialize_parse_roundtrip():
     state_a = run_circuit(circuit)
     state_b = run_circuit(again)
     assert np.array_equal(state_a.amplitudes, state_b.amplitudes)
+
+
+@pytest.mark.parametrize("num_controls", range(4))
+@pytest.mark.parametrize("kind", sorted(GATE_KINDS))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_serialize_parse_roundtrip_every_kind(kind, num_controls, data):
+    # parametrised so that every kind meets every control count, which a
+    # derandomised draw of both need not do
+    qubits = data.draw(st.permutations(range(5)))
+    polarities = data.draw(st.lists(st.integers(0, 1), min_size=num_controls,
+                                     max_size=num_controls))
+    angle = None
+    if kind in ROTATION_KINDS:
+        angle = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    gate = Gate(kind, qubits[0], tuple(zip(qubits[1:], polarities)), angle)
+    circuit = Circuit(5, (gate, h(qubits[-1]), gate))
+    assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+
+def test_parse_reads_legacy_kinds_as_x_and_z():
+    text = (
+        "qubits=3\n"
+        "CNOT targets=[1] controls=[(0,1)]\n"
+        "MCX targets=[2] controls=[(0,1),(1,0)]\n"
+        "MCZ targets=[0] controls=[(2,1)]\n"
+        "MCZ targets=[1] controls=[]\n"
+    )
+    expected = (cnot(0, 1), x(2, ((0, 1), (1, 0))), z(0, ((2, 1),)), z(1))
+    assert parse_circuit(text).gates == expected
+
+
+def test_serialize_writes_cnot_exactly_for_a_one_control_x():
+    gates = (
+        x(0),
+        cnot(0, 1),
+        x(1, ((0, 0),)),
+        x(2, ((0, 1), (1, 1))),
+        z(2, ((0, 1),)),
+        ry(1, 0.5, ((0, 1),)),
+    )
+    lines = serialize_circuit(Circuit(3, gates)).splitlines()
+    assert [line.split()[0] for line in lines[1:]] == ["X", "CNOT", "CNOT", "X", "Z", "RY"]
+    assert lines[2] == "CNOT targets=[1] controls=[(0,1)]"
+
+
+@pytest.mark.parametrize("kind", ["CNOT", "MCX", "MCZ"])
+def test_gate_refuses_the_retired_kinds(kind):
+    with pytest.raises(ValueError, match=f"unknown gate kind '{kind}'"):
+        Gate(kind, 1, ((0, 1),))
+
+
+@pytest.mark.parametrize("controls", [(0,), ((0,),), ((0, 1, 1),), ("01",)])
+def test_gate_refuses_controls_that_are_not_pairs(controls):
+    with pytest.raises(ValueError, match="pair"):
+        x(2, controls)
+
+
+@pytest.mark.parametrize("targets", ["[]", "[0,1]"])
+def test_parse_refuses_a_gate_without_exactly_one_target(targets):
+    with pytest.raises(ValueError, match="exactly one target"):
+        parse_circuit(f"qubits=2\nX targets={targets} controls=[]\n")
