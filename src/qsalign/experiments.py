@@ -29,6 +29,7 @@ from .registers import (
     database_state,
     exact_loader,
     initialisation_unitary,
+    loaded_state,
     state_preparation_circuit,
 )
 from .simcore import (
@@ -173,7 +174,9 @@ def layer_study(n: int, p_max: int, seed=None, shots: int = 4096) -> list[LayerP
     entry matches at distance zero. Accuracy is scored against the fully
     amplified reference (all probability on the matching branch), so it
     cycles with the layer count instead of saturating; the p = 0 row is
-    the unamplified baseline.
+    the unamplified baseline. Like ``run_qsa``, it runs the loader once on
+    its own n qubits and applies the rest of the preparation to the state
+    ``registers.loaded_state`` builds from it.
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
@@ -185,11 +188,13 @@ def layer_study(n: int, p_max: int, seed=None, shots: int = 4096) -> list[LayerP
         db = Database(n, (target.bits,) + db.entries[1:])
 
     layout = RegisterLayout(n)
-    prep = initialisation_unitary(exact_loader(db), target, layout)
+    loader = exact_loader(db)
+    prep = initialisation_unitary(loader, target, layout)
+    start, loaded_gates = loaded_state(loader, target, layout, run_circuit(loader))
     reference = {layout.pack_index(int(target.bits, 2), 0, 0): 1.0}
 
     layer = grover_layer(prep, phase_oracle(layout, 0))
-    state = run_circuit(prep)
+    state = apply_circuit(start, Circuit(layout.total, prep.gates[loaded_gates:]))
     points = []
     for p, shot_seed in enumerate(shot_seeds):
         if p:

@@ -8,7 +8,9 @@ every match is an entry at its reported distance. The entries' distances
 are computed once per search, so every classical fact after that is a
 lookup. Accuracy is scored against the closed-form output of the same
 search on an exact loader. Probes simulate the loader without its trailing
-diagonal gates, which no outcome probability can see.
+diagonal gates, which no outcome probability can see. The target load and
+the loader run once per search, the loader on its own n qubits, and every
+probe starts from the state they leave.
 """
 from __future__ import annotations
 
@@ -27,8 +29,9 @@ from .registers import (
     exact_loader,  # unused here, but bench/layers.py hooks qsa.exact_loader
     hamming,
     initialisation_unitary,
+    loaded_state,
 )
-from .simcore import Circuit, run_circuit, sample_counts
+from .simcore import Circuit, apply_circuit, run_circuit, sample_counts
 
 logger = logging.getLogger(__name__)
 
@@ -168,14 +171,20 @@ def run_qsa(
     T (D' O)^p P'|0>, and T is diagonal and unitary, so |amplitude|^2
     is the same for every basis state.
 
-    Each probe is one ``run_circuit`` call; its amplitudes, and so its
-    samples and the result, are the gate-by-gate values (see
+    The target load and the loader run once per alignment, the loader on
+    its own n qubits, and ``registers.loaded_state`` places that state in
+    its block of the full register. Each probe applies the rest of its
+    search circuit to it in one ``apply_circuit`` call; its amplitudes,
+    and so its samples and the result, are the gate-by-gate values of the
+    whole circuit up to the sign of a zero (see ``loaded_state`` and
     ``simcore.apply_circuit``).
     """
     layout = RegisterLayout(db.n)
     seed_root = np.random.SeedSequence(config.rng_seed)
+    loader = strip_diagonal_tail(db_loader)
     # refuses a loader or target of another width before any simulation
-    prep = initialisation_unitary(strip_diagonal_tail(db_loader), target, layout)
+    prep = initialisation_unitary(loader, target, layout)
+    start, loaded_gates = loaded_state(loader, target, layout, run_circuit(loader))
     distance = {e: hamming(e, target.bits) for e in db.entries}
     entry_at = {int(e, 2): e for e in db.entries}
     matches = Counter(distance.values())
@@ -199,7 +208,8 @@ def run_qsa(
             layers = 1
         else:
             layers = make_plan(db.size, matches[delta], config.layer_policy).layers
-        final = run_circuit(search_circuit(prep, phase_oracle(layout, delta), layers))
+        circuit = search_circuit(prep, phase_oracle(layout, delta), layers)
+        final = apply_circuit(start, Circuit(layout.total, circuit.gates[loaded_gates:]))
         for _ in range(config.repeats):
             delta_trace.append(delta)
             counts = sample_counts(final, config.shots, seed_root.spawn(1)[0])

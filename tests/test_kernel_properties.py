@@ -448,6 +448,18 @@ def test_qsa_over_every_target_adds_no_cache_entry_per_target(runs):
     assert 0 < len(runs) == single
 
 
+def test_qsa_with_an_empty_loader_adds_no_cache_entry_per_target(runs):
+    # the single all-zero entry loads with no gate, so a probe circuit that
+    # kept the target load would open with its X gates in the controlled
+    # run of the entangler and popcount, one cache entry per target
+    db = Database(4, ("0000",))
+    loader = exact_loader(db)
+    assert loader.gates == ()
+    for t in range(16):
+        run_qsa(loader, db, TargetSequence(format(t, "04b")), QsaConfig(shots=64, rng_seed=t))
+    assert len(runs) == 1
+
+
 def _search_cases():
     cases = []
     for n in range(3, 7):
