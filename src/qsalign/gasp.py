@@ -97,8 +97,24 @@ def genome_circuit(genome: Genome, num_qubits: int) -> Circuit:
     return Circuit(num_qubits, tuple(genome.genes))
 
 
+def _coin_bound(p: float) -> int:
+    """The bound under which a raw 64-bit draw's top 53 bits make a p-coin.
+
+    On ``default_rng``'s PCG64, ``Generator.random()`` returns
+    ``(raw >> 11) * 2**-53`` for the bit generator's next raw draw, so ``random() < p`` exactly when
+    ``raw >> 11 < ceil(p * 2**53)``. Comparing the raw draw takes the same
+    number from the stream without building the double.
+    """
+    return math.ceil(p * (1 << 53))
+
+
+def _random_angle(rng: np.random.Generator) -> float:
+    # exactly rng.uniform(0, 2 * math.pi), which computes low + (high - low) * random()
+    return 0.0 + 2 * math.pi * rng.random()
+
+
 def _random_rotation(rng: np.random.Generator, kind: str, qubit: int) -> Gate:
-    return _ROTATION_TEMPLATES[kind, qubit].with_angle(float(rng.uniform(0, 2 * math.pi)))
+    return _ROTATION_TEMPLATES[kind, qubit].with_angle(_random_angle(rng))
 
 
 def _random_gene(rng: np.random.Generator, num_qubits: int) -> Gate:
@@ -128,7 +144,7 @@ def _layered_genome(rng: np.random.Generator, num_qubits: int) -> Genome:
 
 
 def _random_genome(rng: np.random.Generator, num_qubits: int) -> Genome:
-    if num_qubits >= 2 and rng.random() < 0.5:
+    if num_qubits >= 2 and rng.bit_generator.random_raw() >> 11 < _HALF_COIN:
         return _layered_genome(rng, num_qubits)
     length = int(rng.integers(1, min(_MAX_GENES, 4 * num_qubits) + 1))
     return Genome([_random_gene(rng, num_qubits) for _ in range(length)])
@@ -137,12 +153,13 @@ def _random_genome(rng: np.random.Generator, num_qubits: int) -> Genome:
 def _score(genomes: list[Genome], target: Statevector) -> None:
     """Set each genome's fitness, its output's fidelity to the target.
 
-    One batched simulation covers every genome; each row then goes through
-    ``fidelity`` exactly as ``run_circuit``'s output would.
+    One batched simulation covers every genome; each row's fitness is
+    ``fidelity``'s own expression, |<row|target>|^2 clipped to 1, so it
+    equals ``fidelity`` of ``run_circuit``'s output.
     """
-    n = target.num_qubits
-    for genome, amplitudes in zip(genomes, run_sequences(n, [g.genes for g in genomes])):
-        genome.fitness = fidelity(Statevector(n, amplitudes), target)
+    psi = target.amplitudes
+    for genome, row in zip(genomes, run_sequences(target.num_qubits, [g.genes for g in genomes])):
+        genome.fitness = float(min(1.0, abs(np.vdot(row, psi)) ** 2))
 
 
 def _pick_parents(
@@ -169,22 +186,24 @@ def _crossover(rng: np.random.Generator, a: Genome, b: Genome):
 
 def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int):
     genes = genome.genes
-    rate = _MUTATION_RATE
-    random = rng.random
+    bound = _MUTATION_COIN
+    raw = rng.bit_generator.random_raw
+    normal = rng.standard_normal
     # angle polish is gentle, so it may run per gene; the destructive moves
     # (angle resample, whole-gene swap) fire at most once per genome each,
     # otherwise tuned parents rarely produce viable children; of the genes,
-    # only rotations carry an angle
+    # only rotations carry an angle. A polish step 0.0 + 0.1 * normal() is
+    # exactly rng.normal(0.0, 0.1), which computes loc + scale * normal()
     for i, gene in enumerate(genes):
-        if gene.angle is not None and random() < rate:
-            genes[i] = gene.with_angle(gene.angle + float(rng.normal(0.0, 0.1)))
-    if genes and random() < rate:
+        if gene.angle is not None and raw() >> 11 < bound:
+            genes[i] = gene.with_angle(gene.angle + (0.0 + 0.1 * normal()))
+    if genes and raw() >> 11 < bound:
         i = int(rng.integers(len(genes)))
         if genes[i].kind in _ROTATIONS:
-            genes[i] = genes[i].with_angle(float(rng.uniform(0, 2 * math.pi)))
-    if genes and random() < rate:
+            genes[i] = genes[i].with_angle(_random_angle(rng))
+    if genes and raw() >> 11 < bound:
         genes[int(rng.integers(len(genes)))] = _random_gene(rng, num_qubits)
-    if len(genes) < _MAX_GENES and random() < rate:
+    if len(genes) < _MAX_GENES and raw() >> 11 < bound:
         # grow structure without a fitness cliff: rotations enter near the
         # identity, CNOTs enter as an adjacent cancelling pair that later
         # mutations can pull apart
@@ -195,8 +214,8 @@ def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int):
                 genes.insert(position, gene)
                 genes.insert(position, gene)
         else:
-            genes.insert(position, gene.with_angle(float(rng.normal(0.0, 0.1))))
-    if genes and random() < rate:
+            genes.insert(position, gene.with_angle(0.0 + 0.1 * normal()))
+    if genes and raw() >> 11 < bound:
         del genes[int(rng.integers(len(genes)))]
 
 
@@ -208,6 +227,11 @@ _ELITISM_COUNT = 2
 _MAX_GENES = 64
 _STAGNATION_LIMIT = 20
 _STAGNATION_GAIN = 2e-3
+# the coins' bounds on a raw draw (see _coin_bound): mutation, crossover,
+# and a fresh genome's choice of the layered skeleton
+_MUTATION_COIN = _coin_bound(_MUTATION_RATE)
+_CROSSOVER_COIN = _coin_bound(_CROSSOVER_RATE)
+_HALF_COIN = _coin_bound(0.5)
 
 
 def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResult:
@@ -266,7 +290,7 @@ def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResu
         children: list[Genome] = []
         while len(survivors) + len(children) < config.population_size:
             a, b = _pick_parents(rng, population, rank)
-            if rng.random() < _CROSSOVER_RATE:
+            if rng.bit_generator.random_raw() >> 11 < _CROSSOVER_COIN:
                 c1, c2 = _crossover(rng, a, b)
             else:
                 c1, c2 = Genome(list(a.genes)), Genome(list(b.genes))

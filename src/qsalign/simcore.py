@@ -18,6 +18,7 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from math import cos, sin
 from operator import attrgetter
@@ -58,21 +59,24 @@ class Gate:
     otherwise.
 
     Construction also fixes what applying the gate needs, none of it
-    compared: the read-only 2x2 ``matrix`` on the target, the highest
+    compared: the 2x2 matrix on the target as 64 packed bytes, the highest
     qubit touched (``max_qubit``), the index of the target's 0-half and
     1-half in a (2,)*q tensor view of the amplitudes, and the packed
     (target, max_qubit, control mask, control value) that
-    ``run_sequences`` and ``apply_circuit``'s run test read.
+    ``run_sequences`` and ``apply_circuit``'s run test read. The
+    read-only ``matrix`` array is a view of those bytes, built on first
+    use and kept on the gate: ``run_sequences`` reads the bytes alone, so
+    a synthesis builds one only for the gates of the circuit it returns.
     """
 
     kind: str
     target: int
     controls: tuple[tuple[int, int], ...] = ()
     angle: float | None = None
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
     max_qubit: int = field(init=False, repr=False, compare=False)
     _halves: tuple[tuple, tuple] = field(init=False, repr=False, compare=False)
     _select: bytes = field(init=False, repr=False, compare=False)
+    _coefficients: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = self.kind
@@ -116,15 +120,20 @@ class Gate:
             target=target,
             controls=controls,
             angle=angle,
-            matrix=_gate_matrix(kind, angle),
             max_qubit=top,
             _halves=(half0, (Ellipsis, *index)),
             _select=_PACK_SELECT(target, top, mask, value),
+            _coefficients=_pack_coefficients(kind, angle),
         )
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The 2x2 complex128 matrix on the target, a read-only view of its bytes."""
+        return np.ndarray((2, 2), np.complex128, self._coefficients)
 
     def __reduce__(self):
         # rebuild through the constructor, so copies and unpickled gates get
-        # the same read-only matrix and kernel index as the original
+        # the same coefficients and kernel index as the original
         return Gate, (self.kind, self.target, self.controls, self.angle)
 
     def qubits(self) -> tuple[int, ...]:
@@ -134,8 +143,9 @@ class Gate:
         """The same rotation on the same qubits and controls, at another angle.
 
         Equal in every field to ``Gate(kind, target, controls, angle)``,
-        but reuses this gate's validated fields and kernel index and builds
-        only the new matrix.
+        but reuses this gate's validated fields and kernel index and packs
+        only the new coefficients; it builds its own ``matrix`` on first
+        use, never sharing this gate's.
         """
         if self.kind not in ROTATION_KINDS:
             raise ValueError(f"{self.kind} does not take an angle")
@@ -143,8 +153,9 @@ class Gate:
         gate = object.__new__(Gate)
         fields = vars(gate)
         fields.update(vars(self))
+        fields.pop("matrix", None)
         fields["angle"] = angle
-        fields["matrix"] = _gate_matrix(self.kind, angle)
+        fields["_coefficients"] = _pack_coefficients(self.kind, angle)
         return gate
 
     def inverse(self) -> "Gate":
@@ -266,37 +277,30 @@ def basis_state(num_qubits: int, index: int) -> Statevector:
 
 _PACK_2X2 = struct.Struct("8d").pack
 
-
-def _frozen(parts) -> np.ndarray:
-    """A 2x2 complex128 matrix from its row-major (real, imag) parts.
-
-    The array is a view of immutable bytes, so it is read-only for good.
-    A real entry takes imaginary part +0.0, as numpy's conversion of a
-    float does.
-    """
-    return np.ndarray((2, 2), np.complex128, _PACK_2X2(*parts))
-
-
-_FIXED_MATRICES = {
-    "H": _frozen((_SQRT2_INV, 0.0, _SQRT2_INV, 0.0, _SQRT2_INV, 0.0, -_SQRT2_INV, 0.0)),
-    "X": _frozen((0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)),
-    "Z": _frozen((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0)),
+# the 2x2 matrices as the row-major (real, imag) parts of their entries,
+# packed as 8 doubles: a real entry takes imaginary part +0.0, as numpy's
+# conversion of a float does
+_FIXED_COEFFICIENTS = {
+    "H": _PACK_2X2(_SQRT2_INV, 0.0, _SQRT2_INV, 0.0, _SQRT2_INV, 0.0, -_SQRT2_INV, 0.0),
+    "X": _PACK_2X2(0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+    "Z": _PACK_2X2(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0),
 }
 
 
-def _gate_matrix(kind: str, angle: float | None) -> np.ndarray:
-    fixed = _FIXED_MATRICES.get(kind)
+def _pack_coefficients(kind: str, angle: float | None) -> bytes:
+    """The gate's 2x2 complex128 matrix, packed row-major as 64 bytes."""
+    fixed = _FIXED_COEFFICIENTS.get(kind)
     if fixed is not None:
         return fixed
     c, s = cos(angle / 2.0), sin(angle / 2.0)
     if kind == "RX":
         off = -1j * s
-        return _frozen((c, 0.0, off.real, off.imag, off.real, off.imag, c, 0.0))
+        return _PACK_2X2(c, 0.0, off.real, off.imag, off.real, off.imag, c, 0.0)
     if kind == "RY":
-        return _frozen((c, 0.0, -s, 0.0, s, 0.0, c, 0.0))
+        return _PACK_2X2(c, 0.0, -s, 0.0, s, 0.0, c, 0.0)
     # RZ
     u00, u11 = np.exp(-0.5j * angle), np.exp(0.5j * angle)
-    return _frozen((u00.real, u00.imag, 0.0, 0.0, 0.0, 0.0, u11.real, u11.imag))
+    return _PACK_2X2(u00.real, u00.imag, 0.0, 0.0, 0.0, 0.0, u11.real, u11.imag)
 
 
 def _apply_gate_inplace(tensor: np.ndarray, gate: Gate) -> None:
@@ -510,33 +514,37 @@ def run_sequences(num_qubits: int, sequences) -> np.ndarray:
     zero = np.array([(half >> t << (t + 1)) | (half & ((1 << t) - 1)) for t in range(num_qubits)])
     pairs = np.stack([zero, zero | (1 << np.arange(num_qubits))[:, None]], axis=1)
 
-    # (P, depth) grids, row-major, so a boolean assignment walks the
-    # flattened sequences in order; the padding after a sequence ends
-    # meets no pair, so its row keeps its amplitudes
-    live = np.arange(depth) < lengths[:, None]
-    target_grid = np.zeros((count, depth), dtype=np.intp)
-    target_grid[live] = target
-    met = np.zeros((count, depth, dim >> 1), dtype=bool)
-    met[live] = (zero[target] & mask[:, None]) == value[:, None]
-    coef = np.zeros((count, depth, 2, 2), dtype=np.complex128)
-    # every gate's matrix is a C-contiguous 2x2 complex128 array, so joining
-    # their raw bytes copies them as np.concatenate would, without its
-    # per-array overhead
-    matrices = np.frombuffer(b"".join([gate.matrix for gate in flat]), np.complex128)
-    coef[live] = matrices.reshape(-1, 2, 2)
+    # the grids are step-major, so that step j reads the contiguous block
+    # [j]: the gate at step j of row p lands in slot j * P + p, and
+    # np.nonzero lists the live (row, step) cells in the flattened
+    # sequences' order. The padding after a sequence ends meets no pair,
+    # so its row keeps its amplitudes
+    rows, steps = np.nonzero(np.arange(depth) < lengths[:, None])
+    slots = steps * count + rows
+    target_grid = np.zeros(depth * count, dtype=np.intp)
+    target_grid[slots] = target
+    met = np.zeros((depth * count, dim >> 1), dtype=bool)
+    met[slots] = (zero[target] & mask[:, None]) == value[:, None]
+    coef = np.zeros((depth * count, 2, 2), dtype=np.complex128)
+    # every gate's coefficients are its 2x2 complex128 matrix as 64 packed
+    # bytes, so one join holds every matrix in order
+    coef[slots] = np.frombuffer(
+        b"".join([gate._coefficients for gate in flat]), np.complex128
+    ).reshape(-1, 2, 2)
 
-    # step-major from here: index[j, p, h] holds row p's basis indices with
-    # its target bit equal to h at step j, columns[j, c] is column c of
-    # every row's matrix shaped (P, 2, 1), and met[j] is (P, 1, 2^(n-1))
-    index = pairs[target_grid.T]
+    # index[j, p, h] holds row p's basis indices with its target bit equal
+    # to h at step j; first[j] and second[j] are column 0 and column 1 of
+    # every row's matrix, shaped (P, 2, 1); met[j] is (P, 1, 2^(n-1))
+    index = pairs[target_grid.reshape(depth, count)]
     index += (np.arange(count) * dim)[:, None, None]
-    columns = coef.transpose(1, 3, 0, 2)[..., None]
-    met = met.transpose(1, 0, 2)[:, :, None]
+    coef = coef.reshape(depth, count, 2, 2)
+    first, second = coef[..., :1], coef[..., 1:]
+    met = met.reshape(depth, count, 1, dim >> 1)
 
     amps = states.reshape(-1)
     for j in range(depth):
         pair = amps[index[j]]
-        new = columns[j, 0] * pair[:, :1] + columns[j, 1] * pair[:, 1:]
+        new = first[j] * pair[:, :1] + second[j] * pair[:, 1:]
         amps[index[j]] = np.where(met[j], new, pair)
     return states
 

@@ -65,6 +65,11 @@ def test_gasp_trajectory_pinned():
     floor_n4 = database_state(random_database(4, "floor", 0))
     result = gasp_prepare(floor_n4, GaConfig(rng_seed=0))
     assert (result.fidelity, result.generations) == (float.fromhex("0x1.fb1e8d71f7b03p-1"), 44)
+    # the benchmark's longest synthesis: all 200 generations, short of the target
+    floor_n4 = database_state(random_database(4, "floor", 1))
+    result = gasp_prepare(floor_n4, GaConfig(rng_seed=1))
+    assert (result.fidelity, result.generations) == (float.fromhex("0x1.f78d731d3d3c8p-1"), 200)
+    assert result.converged is False
 
 
 def test_gasp_trajectory_through_a_restart_pinned(monkeypatch):
@@ -83,6 +88,26 @@ def test_gasp_trajectory_through_a_restart_pinned(monkeypatch):
     result = gasp_prepare(floor_n4, GaConfig(rng_seed=3, max_generations=100))
     assert (result.fidelity, result.generations) == (float.fromhex("0x1.b2de12173390fp-1"), 100)
     assert len(drawn) == 199
+
+
+def test_mutation_draws_repeat_the_generator_calls_they_replace():
+    # the GA reads its coins off raw 64-bit draws and scales standard draws
+    # itself; on one seeded stream each must take the same numbers, and give
+    # the same result to the last bit, as the Generator call it stands for
+    fast, plain = np.random.default_rng(2024), np.random.default_rng(2024)
+    raw = fast.bit_generator.random_raw
+    bounds = {p: gasp._coin_bound(p) for p in (0.2, 0.5, 0.7)}
+    for p, bound in bounds.items():
+        # random() is k * 2**-53: k = bound - 1 is the largest under p
+        assert (bound - 1) * 2.0**-53 < p <= bound * 2.0**-53
+    for _ in range(100_000):
+        for p, bound in bounds.items():
+            assert (raw() >> 11 < bound) == (plain.random() < p)
+        polish = 0.0 + 0.1 * fast.standard_normal()
+        assert polish.hex() == float(plain.normal(0.0, 0.1)).hex()
+        angle = gasp._random_angle(fast)
+        assert angle.hex() == float(plain.uniform(0, 2 * math.pi)).hex()
+    assert fast.bit_generator.state == plain.bit_generator.state
 
 
 def test_gasp_checks_batched_fitness_against_run_circuit(monkeypatch):

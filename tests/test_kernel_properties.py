@@ -239,23 +239,29 @@ def test_rotation_matrix_bit_identical_to_reference(kind, angle):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6).flatmap(gates), _ANGLES)
-def test_with_angle_equals_a_freshly_built_rotation(gate, angle):
+@given(st.integers(1, 6).flatmap(gates), _ANGLES, st.booleans())
+def test_with_angle_equals_a_freshly_built_rotation(gate, angle, source_matrix_built):
     if gate.kind not in ROTATION_KINDS:
         with pytest.raises(ValueError):
             gate.with_angle(angle)
         return
+    if source_matrix_built:
+        source_matrix = gate.matrix  # cached on the gate before re-angling
     before = dict(vars(gate))
     rebuilt = gate.with_angle(angle)
     fresh = Gate(gate.kind, gate.target, gate.controls, angle)
     assert rebuilt == fresh
+    # the matrix is built lazily, so it is compared through the attribute,
+    # as raw bits, and never taken over from the source gate
+    assert "matrix" not in vars(rebuilt)
+    assert rebuilt.matrix.tobytes() == fresh.matrix.tobytes()
+    assert not rebuilt.matrix.flags.writeable
+    if source_matrix_built:
+        assert rebuilt.matrix is not source_matrix
+    for name in ("kind", "target", "controls", "angle", "max_qubit", "_halves", "_select",
+                 "_coefficients"):
+        assert getattr(rebuilt, name) == getattr(fresh, name), name
     assert vars(rebuilt).keys() == vars(fresh).keys()
-    for name, value in vars(fresh).items():  # _halves and max_qubit included
-        if name == "matrix":
-            assert np.array_equal(rebuilt.matrix, value)
-            assert not rebuilt.matrix.flags.writeable
-        else:
-            assert getattr(rebuilt, name) == value
     assert type(rebuilt.angle) is float
     assert vars(gate) == before  # the original gate is untouched
 
