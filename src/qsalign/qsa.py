@@ -174,9 +174,14 @@ def run_qsa(
     The target load and the loader run once per alignment, the loader on
     its own n qubits, and ``registers.loaded_state`` places that state in
     its block of the full register. Each probe applies the rest of its
-    search circuit to it in one ``apply_circuit`` call; its amplitudes,
-    and so its samples and the result, are the gate-by-gate values of the
-    whole circuit up to the sign of a zero (see ``loaded_state`` and
+    search circuit to it in one ``apply_circuit`` call. Wherever a
+    diffusion undoes or redoes the loader, the state lives in that one
+    row of 2^n amplitudes at |., t, 0>, and ``apply_circuit`` applies each
+    run of the loader's gates to the rows that hold amplitude alone, so
+    the loader costs 2^n amplitude updates per gate, not 2^(2n+k). That
+    is exact, since a row of zeros stays zero. The amplitudes, and so the
+    samples and the result, are the gate-by-gate values of the whole
+    circuit up to the sign of a zero (see ``loaded_state`` and
     ``simcore.apply_circuit``).
     """
     layout = RegisterLayout(db.n)

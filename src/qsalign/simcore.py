@@ -19,7 +19,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 from math import cos, sin
 from operator import attrgetter
 
@@ -435,22 +435,59 @@ def _apply_run(tensor: np.ndarray, run: list[Gate]) -> np.ndarray:
     return tensor
 
 
+def _signed(gate: Gate) -> bool:
+    return gate.kind in _RUN_CLASS
+
+
+def _apply_mixing(tensor: np.ndarray, run: list[Gate]) -> None:
+    """Apply a maximal run of gates that mix amplitudes, in place.
+
+    Every gate of the run acts within rows of 2^w consecutive amplitudes,
+    w the run's highest qubit plus one. When some rows are all zero, the
+    run is applied to a gathered copy of the live rows alone, which are
+    then written back; otherwise, or when w spans the whole register, to
+    ``tensor`` itself. ``tensor`` is C-contiguous, so its rows are a view.
+    """
+    width = max(map(_MAX_QUBIT, run)) + 1
+    if width < tensor.ndim:
+        rows = tensor.reshape(-1, 1 << width)
+        live = np.flatnonzero(rows.any(axis=1))
+        if len(live) < len(rows):
+            block = rows[live].reshape((len(live),) + (2,) * width)
+            for gate in run:
+                _apply_gate_inplace(block, gate)
+            rows[live] = block.reshape(len(live), -1)
+            return
+    for gate in run:
+        _apply_gate_inplace(tensor, gate)
+
+
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     """Apply every gate in order, returning a new statevector.
 
-    Consecutive X and Z gates, with any controls, form maximal runs. A
-    run of three or more gates, with an X gate and a controlled gate among
-    them, is applied as one signed permutation: one gather
+    The gates fall into maximal runs of X and Z gates, with any controls,
+    and maximal runs of the other kinds, which mix amplitudes.
+
+    A run of three or more X and Z gates, with an X gate and a controlled
+    gate among them, is applied as one signed permutation: one gather
     ``out[source]``, skipped where the run moves no amplitude, then one
     indexed negation. Both
     index arrays are found once per distinct run, by applying its gates to
     signed index labels, and kept in a cache bounded in bytes (see
     ``_SignedPermutations``). Moving a value and multiplying it by -1.0
     are both exact, so every amplitude equals its gate-by-gate value; only
-    the sign of a zero can differ. Every other gate goes one at a time: a
-    run of uncontrolled gates is a per-target load, which would add a
-    cache entry per target; a run of Z gates alone moves nothing; and
-    a run of one or two gates costs about what the gather does.
+    the sign of a zero can differ. Every other X and Z gate goes one at a
+    time: a run of uncontrolled gates is a per-target load, which would
+    add a cache entry per target; a run of Z gates alone moves nothing;
+    and a run of one or two gates costs about what the gather does.
+
+    A mixing run touches qubits below w alone, so it maps each row of 2^w
+    consecutive amplitudes into itself. It is applied, gate by gate, only
+    to the rows that hold a nonzero amplitude when it starts, gathered into
+    one block and scattered back (see ``_apply_mixing``); a search's loader
+    runs thus touch the one 2^n row its state lives in. This is exact too:
+    a live row gets the same elementwise arithmetic as in place, and a row
+    of zeros would only have been rewritten with zeros.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
@@ -458,17 +495,12 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
         )
     # C-contiguous, so the reshape is a view
     tensor = state.amplitudes.copy().reshape((2,) * state.num_qubits)
-    run: list[Gate] = []
-    for gate in circuit.gates:
-        if gate.kind in _RUN_CLASS:
-            run.append(gate)
-            continue
-        if run:
+    for signed, run in groupby(circuit.gates, _signed):
+        run = list(run)
+        if signed:
             tensor = _apply_run(tensor, run)
-            run = []
-        _apply_gate_inplace(tensor, gate)
-    if run:
-        tensor = _apply_run(tensor, run)
+        else:
+            _apply_mixing(tensor, run)
     return Statevector(state.num_qubits, tensor.reshape(-1))
 
 

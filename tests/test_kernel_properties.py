@@ -128,12 +128,57 @@ def _random_amplitudes(num_qubits, seed, size=None):
     return amps / np.linalg.norm(amps)
 
 
-@settings(max_examples=300, deadline=None)
-@given(circuits(), st.integers(0, 2**32 - 1))
-def test_circuit_matches_mask_kernel_exactly(circuit, seed):
-    amps = _random_amplitudes(circuit.num_qubits, seed)
+@st.composite
+def circuits_and_states(draw, max_qubits=10):
+    """A circuit, and a state that is dense or zero outside some rows.
+
+    ``apply_circuit`` applies a run of H and rotation gates, which acts
+    within rows of 2^w amplitudes, to the rows that hold a nonzero
+    amplitude alone, and a dense state never leaves a row all zero. So the
+    state may instead be zero outside one, several or all of its rows of
+    a drawn width, or hold one amplitude alone; and gates may act below a
+    drawn reach, so that their runs stay inside rows of fewer than q
+    qubits, or on any qubit, the top one included.
+    """
+    num_qubits = draw(st.integers(1, max_qubits))
+    reach = draw(st.integers(1, num_qubits))
+    gate_list = draw(st.lists(gates(reach) | gates(num_qubits), min_size=1, max_size=12))
+    amps = _random_amplitudes(num_qubits, draw(st.integers(0, 2**32 - 1)))
+    live = draw(st.sampled_from(["dense", "one row", "some rows", "one amplitude"]))
+    if live == "one amplitude":
+        index = draw(st.integers(0, (1 << num_qubits) - 1))
+        amps[np.arange(len(amps)) != index] = 0.0
+    elif live != "dense":
+        rows = 1 << (num_qubits - draw(st.integers(0, num_qubits)))
+        count = 1 if live == "one row" else draw(st.integers(1, rows))
+        kept = draw(st.lists(st.integers(0, rows - 1), min_size=count, max_size=count,
+                             unique=True))
+        amps.reshape(rows, -1)[np.setdiff1d(np.arange(rows), kept)] = 0.0
+    return Circuit(num_qubits, tuple(gate_list)), amps
+
+
+def _one_row_case(*gate_list):
+    """A state in the second of four rows of 4 amplitudes, on 4 qubits."""
+    amps = np.zeros(16, dtype=np.complex128)
+    amps[4:8] = _random_amplitudes(2, 12)
+    return Circuit(4, gate_list), amps
+
+
+@settings(max_examples=600, deadline=None)
+@given(circuits_and_states())
+# a run below the top qubit on one live row, then runs that touch the top
+# qubit (w = q), alone and after an X gate
+@example(_one_row_case(Gate("H", 0), Gate("RY", 1, ((0, 1),), 0.7)))
+@example(_one_row_case(Gate("H", 3), Gate("RX", 0, ((3, 0),), 1.1)))
+@example(_one_row_case(Gate("RZ", 2, (), 0.4), cnot(2, 3), Gate("H", 3)))
+def test_circuit_matches_mask_kernel_exactly(case):
+    circuit, amps = case
     out = apply_circuit(Statevector(circuit.num_qubits, amps), circuit)
-    assert np.array_equal(out.amplitudes, _reference_circuit(amps, circuit))
+    expected = _reference_circuit(amps, circuit)
+    assert np.array_equal(out.amplitudes, expected)
+    # a zero's sign may differ, never a probability's bits
+    probabilities = np.abs(out.amplitudes) ** 2
+    assert np.array_equal(probabilities.view(np.uint64), (np.abs(expected) ** 2).view(np.uint64))
 
 
 @settings(max_examples=300, deadline=None)
@@ -494,3 +539,4 @@ def test_search_circuit_matches_mask_kernel_exactly(db, target, loader):
     zero = np.zeros(1 << layout.total, dtype=np.complex128)
     zero[0] = 1.0
     assert np.array_equal(run_circuit(circuit).amplitudes, _reference_circuit(zero, circuit))
+

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from qsalign import qsa, simcore
 from qsalign.experiments import calibrated_loader, random_database, random_target
 from qsalign.gasp import GaConfig
 from qsalign.grover import make_plan, phase_oracle, search_circuit
@@ -172,3 +173,34 @@ def test_run_qsa_equals_a_gate_level_reference(blind, repeats):
         assert run_qsa(loader, _EMPTY_DB, target, config) == _gate_level_run_qsa(
             loader, _EMPTY_DB, target, config
         )
+
+
+@pytest.mark.parametrize("blind", [False, True])
+@pytest.mark.parametrize("requested", [1.0, 0.7])
+def test_probe_loader_gates_touch_only_the_loaded_block(monkeypatch, blind, requested):
+    # a probe's state lives in the 2^n-amplitude row of |., t, 0> whenever
+    # it undoes or redoes the loader, so each of those gates must see that
+    # row alone, never the 2^(2n+k) amplitudes of the whole register
+    n = 5
+    sizes, probes = [], []
+    kernel = simcore._apply_gate_inplace
+
+    def gate_spy(tensor, gate):
+        if probes and gate.kind not in ("X", "Z"):
+            sizes.append(tensor.size)
+        kernel(tensor, gate)
+
+    def probe_spy(state, circuit):
+        probes.append(circuit)
+        return simcore.apply_circuit(state, circuit)
+
+    monkeypatch.setattr(simcore, "_apply_gate_inplace", gate_spy)
+    monkeypatch.setattr(qsa, "apply_circuit", probe_spy)
+    rng = np.random.default_rng(5)
+    db = random_database(n, "floor", rng)
+    target = random_target(n, rng)
+    loader = calibrated_loader(db, requested, 17)
+    run_qsa(loader, db, target, QsaConfig(shots=256, rng_seed=3, blind=blind))
+    mixing = sum(gate.kind not in ("X", "Z") for circuit in probes for gate in circuit.gates)
+    assert probes and 0 < len(sizes) == mixing
+    assert max(sizes) <= 1 << n

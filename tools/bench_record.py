@@ -14,7 +14,13 @@ speed falls on both; a claimed gain must win nine of them. The file
 records every run's end-to-end metrics and pass count, the core count and
 both sides' revisions, and per metric each side's median and quartiles
 and how many pairs the head won, and per side how many runs were not
-correct and how many operations failed in all.
+correct and how many operations failed in all. The benchmark keeps every
+pass's outcomes, so a faster side that fits more passes reads more
+memory. Per case the file therefore also fits ``peak_rss_mb`` against
+the pass count by least squares, with one slope (MB per pass) for both
+sides and an intercept for each, and records the slope, the base's
+intercept and the head's offset from it: the head's peak less the
+base's at an equal pass count.
 Runs go one at a time; nothing under ``bench/`` is changed.
 """
 from __future__ import annotations
@@ -88,6 +94,28 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def _rss_per_pass(side: dict[str, list[dict]]) -> dict:
+    """``peak_rss_mb`` = intercept of the side + slope * passes, by least squares.
+
+    The slope comes from each side's spread about its own means alone, so
+    a side that differs in both passes and memory cannot pass its offset
+    off as MB per pass. All None when neither side's pass count varies.
+    """
+    points = {name: [(r["passes"], r["metrics"]["peak_rss_mb"]) for r in runs]
+              for name, runs in side.items()}
+    means = {name: (statistics.fmean(p for p, _ in xy), statistics.fmean(m for _, m in xy))
+             for name, xy in points.items()}
+    sxx = sum((p - means[name][0]) ** 2 for name, xy in points.items() for p, _ in xy)
+    if not sxx:
+        return {"slope_mb_per_pass": None, "intercept_mb": None, "head_offset_mb": None}
+    sxy = sum((p - means[name][0]) * (m - means[name][1])
+              for name, xy in points.items() for p, m in xy)
+    slope = sxy / sxx
+    intercept = {name: m - slope * p for name, (p, m) in means.items()}
+    return {"slope_mb_per_pass": slope, "intercept_mb": intercept["base"],
+            "head_offset_mb": intercept["head"] - intercept["base"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="revision measured as the before side")
@@ -119,6 +147,7 @@ def main(argv=None) -> int:
             "passes": {name: [r["passes"] for r in side[name]] for name in side},
             "runs_not_correct": {name: sum(not r["correct"] for r in side[name]) for name in side},
             "failed_operations": {name: sum(r["failed"] for r in side[name]) for name in side},
+            "peak_rss_mb_fit": _rss_per_pass(side),
         }
         for metric in declared:
             name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
