@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .registers import RegisterLayout
-from .simcore import Circuit, Statevector, concat, invert, x, z
+from .simcore import Circuit, Statevector, concat, invert, leading_basis, x, z
 
 # layer-count policies make_plan accepts: the paper's closed-form ceiling,
 # and the exact integer argmax of the success probability
@@ -67,20 +67,17 @@ def diffusion(prep: Circuit) -> Circuit:
     gates. Undoing it, reflecting about |0...0> and redoing it is
     R X S X R^-1 in operator order, S the reflection about |0...0>, and
     X S X is the reflection about the basis state X|0...0>, whose bit on
-    each qubit is the parity of its X gates. So the diffusion undoes R,
-    flips the sign of that one basis state, and redoes R. Equals
-    2|psi><psi| - I up to global phase. An empty preparation gives the
-    3-gate reflection about |0...0>: the controlled Z on qubit 0 between two
-    X gates.
+    each qubit is the parity of its X gates: ``simcore.leading_basis``,
+    the state ``simcore.run_circuit`` starts the preparation from. So the
+    diffusion undoes R, flips the sign of that one basis state, and
+    redoes R. Equals 2|psi><psi| - I up to global phase. An empty
+    preparation gives the 3-gate reflection about |0...0>: the controlled
+    Z on qubit 0 between two X gates.
     """
-    gates = prep.gates
-    bits = [0] * prep.num_qubits
-    lead = 0
-    while lead < len(gates) and gates[lead].kind == "X" and not gates[lead].controls:
-        bits[gates[lead].target] ^= 1
-        lead += 1
-    rest = Circuit(prep.num_qubits, gates[lead:])
-    return concat(invert(rest), _flip_sign(prep.num_qubits, tuple(enumerate(bits))), rest)
+    index, lead = leading_basis(prep)
+    rest = Circuit(prep.num_qubits, prep.gates[lead:])
+    pattern = tuple((q, index >> q & 1) for q in range(prep.num_qubits))
+    return concat(invert(rest), _flip_sign(prep.num_qubits, pattern), rest)
 
 
 def grover_layer(prep: Circuit, oracle: Circuit) -> Circuit:

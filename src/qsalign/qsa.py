@@ -8,9 +8,8 @@ every match is an entry at its reported distance. The entries' distances
 are computed once per search, so every classical fact after that is a
 lookup. Accuracy is scored against the closed-form output of the same
 search on an exact loader. Probes simulate the loader without its trailing
-diagonal gates, which no outcome probability can see. The target load and
-the loader run once per search, the loader on its own n qubits, and every
-probe starts from the state they leave.
+diagonal gates, which no outcome probability can see, and each probe is one
+``run_circuit`` of its whole search circuit.
 """
 from __future__ import annotations
 
@@ -29,9 +28,8 @@ from .registers import (
     exact_loader,  # unused here, but bench/layers.py hooks qsa.exact_loader
     hamming,
     initialisation_unitary,
-    loaded_state,
 )
-from .simcore import Circuit, apply_circuit, run_circuit, sample_counts
+from .simcore import Circuit, run_circuit, sample_counts
 
 logger = logging.getLogger(__name__)
 
@@ -171,17 +169,14 @@ def run_qsa(
     T (D' O)^p P'|0>, and T is diagonal and unitary, so |amplitude|^2
     is the same for every basis state.
 
-    The target load and the loader run once per alignment, the loader on
-    its own n qubits, and ``registers.loaded_state`` places that state in
-    its block of the full register. Each probe applies the rest of its
-    search circuit to it in one ``apply_circuit`` call. Wherever a
-    diffusion undoes or redoes the loader, the state lives in that one
-    row of 2^n amplitudes at |., t, 0>, and ``apply_circuit`` applies each
-    run of the loader's gates to the rows that hold amplitude alone, so
-    the loader costs 2^n amplitude updates per gate, not 2^(2n+k). That
-    is exact, since a row of zeros stays zero. The amplitudes, and so the
-    samples and the result, are the gate-by-gate values of the whole
-    circuit up to the sign of a zero (see ``loaded_state`` and
+    Each probe is one ``run_circuit`` of its whole search circuit. That
+    starts from |0, t, 0>, the basis state the target load writes, and
+    wherever the circuit loads, undoes or redoes the loader, the state
+    lives in that one row of 2^n amplitudes at |., t, 0>. Each run of the
+    loader's gates goes to the rows that hold amplitude alone, so the
+    loader costs 2^n amplitude updates per gate, not 2^(2n+k). The
+    amplitudes, and so the samples and the result, are the gate-by-gate
+    values up to the sign of a zero (see ``simcore.run_circuit`` and
     ``simcore.apply_circuit``).
     """
     layout = RegisterLayout(db.n)
@@ -189,7 +184,6 @@ def run_qsa(
     loader = strip_diagonal_tail(db_loader)
     # refuses a loader or target of another width before any simulation
     prep = initialisation_unitary(loader, target, layout)
-    start, loaded_gates = loaded_state(loader, target, layout, run_circuit(loader))
     distance = {e: hamming(e, target.bits) for e in db.entries}
     entry_at = {int(e, 2): e for e in db.entries}
     matches = Counter(distance.values())
@@ -213,8 +207,7 @@ def run_qsa(
             layers = 1
         else:
             layers = make_plan(db.size, matches[delta], config.layer_policy).layers
-        circuit = search_circuit(prep, phase_oracle(layout, delta), layers)
-        final = apply_circuit(start, Circuit(layout.total, circuit.gates[loaded_gates:]))
+        final = run_circuit(search_circuit(prep, phase_oracle(layout, delta), layers))
         for _ in range(config.repeats):
             delta_trace.append(delta)
             counts = sample_counts(final, config.shots, seed_root.spawn(1)[0])

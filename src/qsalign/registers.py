@@ -278,8 +278,10 @@ def initialisation_unitary(
     ``db_loader`` acts on the n data qubits; it may prepare the database
     superposition exactly or approximately (a synthesized loader). The
     target load acts on the sample qubits alone, so it commutes with the
-    loader; it comes first so that ``grover.diffusion`` can fold its X
-    gates into the reflection's sign flip.
+    loader. It comes first, so that ``simcore.run_circuit`` starts from
+    the basis state |0, t, 0> its X gates write, and the loader runs on
+    that one row of 2^n amplitudes; ``grover.diffusion`` folds the same
+    X gates into the reflection's sign flip.
     """
     if db_loader.num_qubits != layout.n:
         raise ValueError(
@@ -293,31 +295,3 @@ def initialisation_unitary(
         popcount_operator(layout),
     )
 
-
-def loaded_state(
-    db_loader: Circuit, target: TargetSequence, layout: RegisterLayout, loaded: Statevector
-) -> tuple[Statevector, int]:
-    """The state ``initialisation_unitary``'s target load and loader leave on |0...0>.
-
-    ``loaded`` is ``run_circuit(db_loader)``, on the loader's own n qubits.
-    The target load writes |0, t, 0>, and the loader then acts on the data
-    qubits alone, so the state is zero outside the 2^n amplitudes from
-    ``pack_index(0, t, 0)`` on, which hold ``loaded``. Each of the kernel's
-    updates on the full register repeats its n-qubit arithmetic on that
-    block and leaves zeros elsewhere, so the state equals the gate-by-gate
-    one, up to the sign of a zero. Returns the state and how many leading
-    gates of ``initialisation_unitary(db_loader, target, layout)`` it
-    stands for.
-    """
-    if target.n != layout.n:
-        raise ValueError(f"target is {target.n} bits but layout expects {layout.n}")
-    if not db_loader.num_qubits == loaded.num_qubits == layout.n:
-        raise ValueError(
-            f"loader on {db_loader.num_qubits} qubits and loaded state on "
-            f"{loaded.num_qubits}, layout expects {layout.n}"
-        )
-    amps = np.zeros(1 << layout.total, dtype=np.complex128)
-    start = layout.pack_index(0, int(target.bits, 2), 0)
-    amps[start:start + (1 << layout.n)] = loaded.amplitudes
-    # target_loader writes one X gate per 1 bit
-    return Statevector(layout.total, amps), target.bits.count("1") + len(db_loader.gates)

@@ -430,8 +430,7 @@ def _apply_run(tensor: np.ndarray, run: list[Gate]) -> np.ndarray:
             if negated is not None:
                 flat[negated] *= -1.0
             return flat.reshape(tensor.shape)
-    for gate in run:
-        _apply_gate_inplace(tensor, gate)
+    _apply_live_rows(tensor, run)
     return tensor
 
 
@@ -439,8 +438,8 @@ def _signed(gate: Gate) -> bool:
     return gate.kind in _RUN_CLASS
 
 
-def _apply_mixing(tensor: np.ndarray, run: list[Gate]) -> None:
-    """Apply a maximal run of gates that mix amplitudes, in place.
+def _apply_live_rows(tensor: np.ndarray, run: list[Gate]) -> None:
+    """Apply a run of gates one at a time, in place.
 
     Every gate of the run acts within rows of 2^w consecutive amplitudes,
     w the run's highest qubit plus one. When some rows are all zero, the
@@ -471,23 +470,24 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     A run of three or more X and Z gates, with an X gate and a controlled
     gate among them, is applied as one signed permutation: one gather
     ``out[source]``, skipped where the run moves no amplitude, then one
-    indexed negation. Both
-    index arrays are found once per distinct run, by applying its gates to
-    signed index labels, and kept in a cache bounded in bytes (see
-    ``_SignedPermutations``). Moving a value and multiplying it by -1.0
-    are both exact, so every amplitude equals its gate-by-gate value; only
-    the sign of a zero can differ. Every other X and Z gate goes one at a
-    time: a run of uncontrolled gates is a per-target load, which would
-    add a cache entry per target; a run of Z gates alone moves nothing;
-    and a run of one or two gates costs about what the gather does.
+    indexed negation. Both index arrays are found once per distinct run,
+    by applying its gates to signed index labels, and kept in a cache
+    bounded in bytes (see ``_SignedPermutations``). Moving a value and
+    multiplying it by -1.0 are both exact, so every amplitude equals its
+    gate-by-gate value; only the sign of a zero can differ. No other X
+    and Z run is cached: a run of uncontrolled gates is a per-target
+    load, which would add a cache entry per target; a run of Z gates
+    alone moves nothing; and a run of one or two gates costs about what
+    the gather does.
 
-    A mixing run touches qubits below w alone, so it maps each row of 2^w
-    consecutive amplitudes into itself. It is applied, gate by gate, only
-    to the rows that hold a nonzero amplitude when it starts, gathered into
-    one block and scattered back (see ``_apply_mixing``); a search's loader
-    runs thus touch the one 2^n row its state lives in. This is exact too:
-    a live row gets the same elementwise arithmetic as in place, and a row
-    of zeros would only have been rewritten with zeros.
+    Every other run goes gate by gate. A run that touches qubits below w
+    alone maps each row of 2^w consecutive amplitudes into itself, so it
+    is applied only to the rows that hold a nonzero amplitude when it
+    starts, gathered into one block and scattered back (see
+    ``_apply_live_rows``). A search's loader, CNOTs and all, thus touches
+    the one 2^n row its state lives in. This is exact too: a live row
+    gets the same elementwise arithmetic as in place, and a row of zeros
+    would only have been rewritten with zeros.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
@@ -500,13 +500,37 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
         if signed:
             tensor = _apply_run(tensor, run)
         else:
-            _apply_mixing(tensor, run)
+            _apply_live_rows(tensor, run)
     return Statevector(state.num_qubits, tensor.reshape(-1))
 
 
+def leading_basis(circuit: Circuit) -> tuple[int, int]:
+    """The basis index a circuit's leading uncontrolled X gates write, and their count.
+
+    A qubit's bit is the parity of its X gates in that run on |0...0>; a
+    circuit that opens with any other gate gives (0, 0).
+    """
+    index = count = 0
+    for gate in circuit.gates:
+        if gate.kind != "X" or gate.controls:
+            break
+        index ^= 1 << gate.target
+        count += 1
+    return index, count
+
+
 def run_circuit(circuit: Circuit) -> Statevector:
-    """Apply the circuit to |0...0>."""
-    return apply_circuit(zero_state(circuit.num_qubits), circuit)
+    """Apply the circuit to |0...0>.
+
+    The circuit's leading uncontrolled X gates only move the one nonzero
+    amplitude, so the run starts from the basis state they write
+    (``leading_basis``) and applies the rest, with the gate-by-gate
+    amplitudes. A search circuit's target load thus never enters the run
+    cache, and its loader starts on one live row.
+    """
+    index, count = leading_basis(circuit)
+    rest = Circuit(circuit.num_qubits, circuit.gates[count:])
+    return apply_circuit(basis_state(circuit.num_qubits, index), rest)
 
 
 def run_sequences(num_qubits: int, sequences) -> np.ndarray:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from qsalign import simcore
 from qsalign.experiments import calibrated_loader, random_database, random_target
+from qsalign.gasp import GaConfig
 from qsalign.grover import phase_oracle, search_circuit
 from qsalign.qsa import QsaConfig, run_qsa, strip_diagonal_tail
 from qsalign.registers import (
@@ -38,6 +39,7 @@ from qsalign.simcore import (
     run_circuit,
     run_sequences,
     serialize_circuit,
+    x,
 )
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -500,9 +502,11 @@ def test_qsa_over_every_target_adds_no_cache_entry_per_target(runs):
 
 
 def test_qsa_with_an_empty_loader_adds_no_cache_entry_per_target(runs):
-    # the single all-zero entry loads with no gate, so a probe circuit that
-    # kept the target load would open with its X gates in the controlled
-    # run of the entangler and popcount, one cache entry per target
+    # the single all-zero entry loads with no gate, so the probe circuit
+    # opens with the target load's X gates right before the controlled run
+    # of the entangler and popcount; run_circuit starts from the basis
+    # state those X gates write, which keeps them out of that run and the
+    # cache free of one entry per target
     db = Database(4, ("0000",))
     loader = exact_loader(db)
     assert loader.gates == ()
@@ -511,32 +515,57 @@ def test_qsa_with_an_empty_loader_adds_no_cache_entry_per_target(runs):
     assert len(runs) == 1
 
 
+def _search_case(db, target, loader, case_id):
+    layout = RegisterLayout(db.n)
+    prep = initialisation_unitary(strip_diagonal_tail(loader), target, layout)
+    delta = min(bin(int(e, 2) ^ int(target.bits, 2)).count("1") for e in db.entries)
+    return pytest.param(search_circuit(prep, phase_oracle(layout, delta), 2), id=case_id)
+
+
+# GA seeds whose short runs leave loaders with CNOTs: alone, in pairs, and
+# in runs of three or more, inside the loader and at its end
+_SHORT_GA_SEEDS = {3: 20, 4: 27, 5: 28, 6: 21}
+
+
 def _search_cases():
     cases = []
     for n in range(3, 7):
         db = random_database(n, "floor", [16, n])
         target = random_target(n, [16, n, 1])
-        cases.append(pytest.param(db, target, exact_loader(db), id=f"n={n}-exact"))
+        cases.append(_search_case(db, target, exact_loader(db), f"n={n}-exact"))
+        cases.append(_search_case(
+            db, target, calibrated_loader(db, 0.7, 16), f"n={n}-calibrated-0.7"
+        ))
+        seed = _SHORT_GA_SEEDS[n]
+        ga = GaConfig(population_size=8, max_generations=3, rng_seed=seed)
+        loader = calibrated_loader(db, 0.7, seed, ga)
+        assert any(gate.kind == "X" for gate in loader.gates)
+        cases.append(_search_case(db, target, loader, f"n={n}-short-ga"))
     db = random_database(3, "floor", [16, 0])
     # an all-zero target wraps the diffusion's sign flip in X gates
-    cases.append(pytest.param(db, TargetSequence("000"), exact_loader(db), id="n=3-zero-target"))
+    cases.append(_search_case(db, TargetSequence("000"), exact_loader(db), "n=3-zero-target"))
     # a loader that starts and ends with CNOTs: the diffusion's undo and redo
     # of it then mirror those CNOTs around the sign flips
     loader = Circuit(3, (cnot(1, 0),) + exact_loader(db).gates + (cnot(0, 2),))
-    cases.append(pytest.param(db, random_target(3, [16, 0, 1]), loader, id="n=3-cnot-ends"))
+    cases.append(_search_case(db, random_target(3, [16, 0, 1]), loader, "n=3-cnot-ends"))
     db = random_database(4, "floor", [16, 4, 2])
     loader = calibrated_loader(db, 0.6, 16)
-    cases.append(pytest.param(db, random_target(4, [16, 4, 3]), loader, id="n=4-calibrated-0.6"))
+    cases.append(_search_case(db, random_target(4, [16, 4, 3]), loader, "n=4-calibrated-0.6"))
+    # run_circuit starts from the basis state that a circuit's leading
+    # uncontrolled X gates write, and applies the rest
+    leading = {
+        "x-twice": (x(1), x(2), x(1), Gate("H", 0), Gate("RY", 1, ((2, 1),), 0.4)),
+        "x-run-then-cnot": (x(0), x(3), cnot(0, 2), Gate("H", 1), cnot(1, 3)),
+        "all-x": (x(0), x(2), x(0), x(1)),
+        "empty": (),
+    }
+    for case_id, gate_list in leading.items():
+        cases.append(pytest.param(Circuit(4, gate_list), id=case_id))
     return cases
 
 
-@pytest.mark.parametrize("db, target, loader", _search_cases())
-def test_search_circuit_matches_mask_kernel_exactly(db, target, loader):
-    layout = RegisterLayout(db.n)
-    prep = initialisation_unitary(strip_diagonal_tail(loader), target, layout)
-    delta = min(bin(int(e, 2) ^ int(target.bits, 2)).count("1") for e in db.entries)
-    circuit = search_circuit(prep, phase_oracle(layout, delta), 2)
-    zero = np.zeros(1 << layout.total, dtype=np.complex128)
+@pytest.mark.parametrize("circuit", _search_cases())
+def test_search_circuit_matches_mask_kernel_exactly(circuit):
+    zero = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
     zero[0] = 1.0
     assert np.array_equal(run_circuit(circuit).amplitudes, _reference_circuit(zero, circuit))
-

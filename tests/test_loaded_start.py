@@ -1,10 +1,12 @@
 """Probes start from the loaded data block, with the gate-level amplitudes.
 
-``registers.loaded_state`` stands for the target load and the loader of
-``initialisation_unitary``, and ``run_qsa`` and ``layer_study`` apply only
-the rest of each search circuit to it. Everything here is compared with
-``np.array_equal`` or ``==`` and no tolerance: the block repeats the
-kernel's own arithmetic, so only the sign of a zero may differ.
+``run_qsa`` runs each probe as one ``run_circuit`` of its whole search
+circuit. That starts from the basis state |0, t, 0> the target load writes,
+and the loader fills the one block of 2^n amplitudes at |., t, 0>; every
+later run of the loader's gates goes to the rows that hold amplitude alone.
+Everything here is compared with ``np.array_equal`` or ``==`` and no
+tolerance, against the kernel's per-gate update on the whole register: the
+shortcuts repeat that arithmetic, so only the sign of a zero may differ.
 """
 from collections import Counter
 
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from qsalign import qsa, simcore
+import qsalign.qsa as qsa
+from qsalign import simcore
 from qsalign.experiments import calibrated_loader, random_database, random_target
 from qsalign.gasp import GaConfig
 from qsalign.grover import make_plan, phase_oracle, search_circuit
@@ -32,12 +35,9 @@ from qsalign.registers import (
     exact_loader,
     hamming,
     initialisation_unitary,
-    loaded_state,
     target_loader,
 )
-from qsalign.simcore import Circuit, apply_circuit, concat, run_circuit, sample_counts
-
-_EMPTY_DB = Database(4, ("0000",))
+from qsalign.simcore import Circuit, concat, run_circuit, sample_counts, zero_state
 
 
 def _loader(kind, db, seed, requested):
@@ -53,19 +53,31 @@ def _loader(kind, db, seed, requested):
     return loader
 
 
+def _gate_by_gate(circuit):
+    """The circuit on |0...0>, each gate one kernel update of the whole register."""
+    tensor = zero_state(circuit.num_qubits).amplitudes.reshape((2,) * circuit.num_qubits)
+    for gate in circuit.gates:
+        simcore._apply_gate_inplace(tensor, gate)
+    return tensor.reshape(-1)
+
+
 def _assert_probes_start_from_the_loaded_block(db, target, loader, p_max=3):
     layout = RegisterLayout(db.n)
     prep = initialisation_unitary(loader, target, layout)
-    start, loaded_gates = loaded_state(loader, target, layout, run_circuit(loader))
     load = concat(target_loader(target, layout), Circuit(layout.total, loader.gates))
-    assert prep.gates[:loaded_gates] == load.gates
-    assert np.array_equal(start.amplitudes, run_circuit(load).amplitudes)
+    assert prep.gates[:len(load.gates)] == load.gates
+    # the target load and the loader leave the loader's n-qubit state in the
+    # block of 2^n amplitudes from |0, t, 0> on, and zeros elsewhere
+    block = np.zeros(1 << layout.total, dtype=np.complex128)
+    start = layout.pack_index(0, int(target.bits, 2), 0)
+    block[start:start + (1 << layout.n)] = run_circuit(loader).amplitudes
+    assert np.array_equal(run_circuit(load).amplitudes, block)
+    assert np.array_equal(_gate_by_gate(load), block)
     for delta in range(db.n + 1):
         for p in range(p_max + 1):
             circuit = search_circuit(prep, phase_oracle(layout, delta), p)
-            rest = Circuit(layout.total, circuit.gates[loaded_gates:])
-            got = apply_circuit(start, rest).amplitudes
-            assert np.array_equal(got, run_circuit(circuit).amplitudes), (delta, p)
+            got = run_circuit(circuit).amplitudes
+            assert np.array_equal(got, _gate_by_gate(circuit)), (delta, p)
 
 
 # no shrink phase: shrinking a failing 15-qubit example takes minutes
@@ -82,35 +94,8 @@ def test_probes_from_the_loaded_block_equal_the_whole_search_circuit(
     _assert_probes_start_from_the_loaded_block(db, target, loader)
 
 
-def test_the_empty_loader_starts_from_the_target_basis_state():
-    # the single all-zero entry loads with no gate at all, so the block is
-    # the one basis state |0, t, 0>
-    loader = exact_loader(_EMPTY_DB)
-    assert loader.gates == ()
-    layout = RegisterLayout(4)
-    for t in range(16):
-        target = TargetSequence(format(t, "04b"))
-        start, loaded_gates = loaded_state(loader, target, layout, run_circuit(loader))
-        assert np.flatnonzero(start.amplitudes).tolist() == [layout.pack_index(0, t, 0)]
-        assert loaded_gates == t.bit_count()
-        _assert_probes_start_from_the_loaded_block(_EMPTY_DB, target, loader)
-
-
-def test_loaded_state_refuses_mismatched_widths():
-    db = Database(3, ("101", "010"))
-    loader = exact_loader(db)
-    layout = RegisterLayout(3)
-    wide = exact_loader(Database(4, ("1010",)))
-    with pytest.raises(ValueError, match="layout expects 3"):
-        loaded_state(loader, TargetSequence("101"), layout, run_circuit(wide))
-    with pytest.raises(ValueError, match="layout expects 3"):
-        loaded_state(wide, TargetSequence("101"), layout, run_circuit(wide))
-    with pytest.raises(ValueError, match="target is 4 bits"):
-        loaded_state(loader, TargetSequence("1010"), layout, run_circuit(loader))
-
-
 def _gate_level_run_qsa(db_loader, db, target, config):
-    """``run_qsa`` with every probe one ``run_circuit`` of its whole search circuit."""
+    """``run_qsa`` written out again, its acceptance rule as a max over (count, -index)."""
     layout = RegisterLayout(db.n)
     seed_root = np.random.SeedSequence(config.rng_seed)
     prep = initialisation_unitary(strip_diagonal_tail(db_loader), target, layout)
@@ -166,41 +151,55 @@ def test_run_qsa_equals_a_gate_level_reference(blind, repeats):
                 )
                 got = run_qsa(loader, db, target, config)
                 assert got == _gate_level_run_qsa(loader, db, target, config), (n, requested)
-    loader = exact_loader(_EMPTY_DB)
+    # the single all-zero entry loads with no gate at all
+    empty = Database(4, ("0000",))
+    loader = exact_loader(empty)
     for t in range(16):
         target = TargetSequence(format(t, "04b"))
         config = QsaConfig(shots=64, repeats=repeats, blind=blind, rng_seed=t)
-        assert run_qsa(loader, _EMPTY_DB, target, config) == _gate_level_run_qsa(
-            loader, _EMPTY_DB, target, config
+        assert run_qsa(loader, empty, target, config) == _gate_level_run_qsa(
+            loader, empty, target, config
         )
 
 
 @pytest.mark.parametrize("blind", [False, True])
-@pytest.mark.parametrize("requested", [1.0, 0.7])
-def test_probe_loader_gates_touch_only_the_loaded_block(monkeypatch, blind, requested):
+@pytest.mark.parametrize("kind", ["1.0", "0.7", "short_ga"])
+def test_probe_loader_gates_touch_only_the_loaded_block(monkeypatch, kind, blind):
     # a probe's state lives in the 2^n-amplitude row of |., t, 0> whenever
-    # it undoes or redoes the loader, so each of those gates must see that
-    # row alone, never the 2^(2n+k) amplitudes of the whole register
+    # it loads, undoes or redoes the loader, so each of the loader's gates,
+    # its X gates included, must see that row alone, never the 2^(2n+k)
+    # amplitudes of the whole register
     n = 5
+    rng = np.random.default_rng(5)
+    db = random_database(n, "floor", rng)
+    target = random_target(n, rng)
+    # the diffusion's sign flip puts an X gate on data qubit 0 for t = 0 alone
+    assert "1" in target.bits
+    if kind == "short_ga":
+        # CNOTs alone or in pairs between rotations: X runs that are not
+        # applied as one signed permutation, so they go gate by gate
+        ga = GaConfig(population_size=8, max_generations=3, rng_seed=21)
+        loader = calibrated_loader(db, 0.7, 21, ga)
+        kinds = "".join(gate.kind[0] for gate in strip_diagonal_tail(loader).gates)
+        assert "X" in kinds and "XXX" not in kinds and kinds[0] != "X" != kinds[-1]
+    else:
+        loader = calibrated_loader(db, float(kind), 17)
     sizes, probes = [], []
     kernel = simcore._apply_gate_inplace
 
     def gate_spy(tensor, gate):
-        if probes and gate.kind not in ("X", "Z"):
+        if probes and gate.max_qubit < n:
             sizes.append(tensor.size)
         kernel(tensor, gate)
 
-    def probe_spy(state, circuit):
+    def probe_spy(circuit):
         probes.append(circuit)
-        return simcore.apply_circuit(state, circuit)
+        return simcore.run_circuit(circuit)
 
     monkeypatch.setattr(simcore, "_apply_gate_inplace", gate_spy)
-    monkeypatch.setattr(qsa, "apply_circuit", probe_spy)
-    rng = np.random.default_rng(5)
-    db = random_database(n, "floor", rng)
-    target = random_target(n, rng)
-    loader = calibrated_loader(db, requested, 17)
+    monkeypatch.setattr(qsa, "run_circuit", probe_spy)
     run_qsa(loader, db, target, QsaConfig(shots=256, rng_seed=3, blind=blind))
-    mixing = sum(gate.kind not in ("X", "Z") for circuit in probes for gate in circuit.gates)
-    assert probes and 0 < len(sizes) == mixing
+    # only the loader's gates, and their inverses, act on the data qubits alone
+    loader_gates = sum(gate.max_qubit < n for circuit in probes for gate in circuit.gates)
+    assert probes and 0 < len(sizes) == loader_gates
     assert max(sizes) <= 1 << n
