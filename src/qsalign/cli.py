@@ -293,16 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--repeats", type=int, default=1, help="sampling attempts per probe distance")
     run_p.add_argument("--layer-policy", choices=sorted(_POLICIES), default="best")
     run_p.add_argument("--fidelity", type=float, default=1.0, help="preparation fidelity")
-    mode = run_p.add_mutually_exclusive_group()
-    mode.add_argument("--fast", dest="full", action="store_false",
-                      help="exact synthesis of the perturbed state (default)")
-    mode.add_argument("--full", dest="full", action="store_true",
-                      help="evolve the loader genetically instead")
+    run_p.add_argument("--full", action="store_true", help="evolve the loader genetically")
     run_p.add_argument("--blind", action="store_true",
                        help="probe every distance at one layer, no classical match counts")
     run_p.add_argument("--out", help="also write the JSON record here")
     run_p.add_argument("--strict", action="store_true", help="exit 2 on a degraded result")
-    run_p.set_defaults(func=_cmd_run, full=False)
+    run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="accuracy versus preparation fidelity grid")
     sweep_p.add_argument("--sizes", default="3,4,5,6", help="comma-separated qubit counts")
@@ -313,14 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seed", type=_seed, default=0)
     sweep_p.add_argument("--db-size-rule", choices=("floor", "ceil"), default="floor")
     sweep_p.add_argument("--layer-policy", choices=sorted(_POLICIES), default="paper")
-    mode = sweep_p.add_mutually_exclusive_group()
-    mode.add_argument("--fast", dest="full", action="store_false",
-                      help="exact synthesis of perturbed states (default)")
-    mode.add_argument("--full", dest="full", action="store_true",
-                      help="genetic loader synthesis per trial")
+    sweep_p.add_argument("--full", action="store_true", help="genetic loader synthesis per trial")
     sweep_p.add_argument("--jobs", type=int, default=1, help="worker processes")
     sweep_p.add_argument("--out", default="sweep_out", help="output directory")
-    sweep_p.set_defaults(func=_cmd_sweep, full=False)
+    sweep_p.set_defaults(func=_cmd_sweep)
 
     layers_p = sub.add_parser("layers", help="accuracy and marked probability per layer count")
     layers_p.add_argument("--n", type=int, required=True, help="qubits per entry")

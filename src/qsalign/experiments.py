@@ -93,12 +93,12 @@ class SweepConfig:
 class SweepRecord:
     """One trial's outcome; every result field is None when error is set.
 
-    degraded is run_qsa's flag: no probe accepted an outcome, and the
-    distance found is the classical fallback's. optimal says whether the
-    distance found is the classical minimum. magnitude_fidelity is
-    (sum_d |psi_d| |phi_d|)^2 between the database state and the loaded
-    one: the part of achieved_fidelity the search can see, since no outcome
-    probability depends on the loaded phases.
+    degraded is run_qsa's flag: the distance found is above the classical
+    minimum, or is the fallback's after no probe accepted. optimal says
+    whether it is the minimum, so every suboptimal trial is degraded.
+    magnitude_fidelity is (sum_d |psi_d| |phi_d|)^2 between the database
+    state and the loaded one: the part of achieved_fidelity the search can
+    see, since no outcome probability depends on the loaded phases.
     """
 
     n: int
@@ -300,7 +300,7 @@ def summarize(records: tuple[SweepRecord, ...] | list[SweepRecord]) -> tuple[Sum
     """Accuracy mean and standard deviation per (n, fidelity) point.
 
     Each row also counts the point's trials that missed the classical
-    minimum (suboptimal) and that fell back to it (degraded). Error
+    minimum (suboptimal) and that run_qsa flagged degraded. Error
     records count in none of the row's figures.
     """
     groups: dict[tuple[int, float], list[SweepRecord]] = {}

@@ -65,6 +65,8 @@ class QsaConfig:
 
 @dataclass(frozen=True)
 class QsaResult:
+    """One search's answer; degraded: distance above the table's minimum, or the fallback's."""
+
     match: str
     distance: int
     layers_used: int
@@ -152,7 +154,9 @@ def run_qsa(
     distance delta, ties going to the lowest basis index. If every
     probe is exhausted the result is flagged degraded and carries the first
     nearest entry observed in any sample (the nearest entry overall if none
-    was ever observed).
+    was ever observed). An accepted match above the table's minimum
+    distance is flagged degraded too: the probes at the minimum accepted
+    nothing.
 
     Accuracy compares the final attempt's histogram with
     ``ideal_distribution``, so infidelity in the loader's magnitudes lowers
@@ -221,7 +225,7 @@ def run_qsa(
                 if best_entry is None or distance[seen] < distance[best_entry]:
                     best_entry = seen
             if hit is not None:
-                return finish(hit, degraded=False)
+                return finish(hit, degraded=distance[hit] > min(matches))
         logger.debug("no acceptance at delta=%d after %d attempts", delta, config.repeats)
 
     if best_entry is None:

@@ -13,7 +13,6 @@ concurrently without coordination.
 """
 from __future__ import annotations
 
-import ast
 import struct
 import threading
 from collections import OrderedDict
@@ -259,12 +258,6 @@ class Statevector:
 
     def copy(self) -> "Statevector":
         return Statevector(self.num_qubits, self.amplitudes.copy())
-
-
-def zero_state(num_qubits: int) -> Statevector:
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return Statevector(num_qubits, amps)
 
 
 def basis_state(num_qubits: int, index: int) -> Statevector:
@@ -630,20 +623,19 @@ def fidelity(a: Statevector, b: Statevector) -> float:
 
 
 # --- serialization -----------------------------------------------------------
-# Line-oriented text: header "qubits=<q>", then one gate per line,
-#   KIND targets=[t] controls=[(q,pol),...] angle=<radians>
-# with the angle field present only on rotation gates. An X with exactly
-# one control is written CNOT; the reader also takes the MCX and MCZ of
-# older files, as X and Z.
-_LEGACY_KINDS = {"CNOT": "X", "MCX": "X", "MCZ": "Z"}
+# A "qubits=<q>" header, then one gate per line, each field only when the
+# gate has it and controls in the gate's order:
+#   KIND target=<t> controls=<q>:<pol>,... angle=<repr of the float>
+_FIELDS = {"target", "controls", "angle"}
 
 
 def serialize_circuit(circuit: Circuit) -> str:
+    """The circuit as text that ``parse_circuit`` reads back to an equal one."""
     lines = [f"qubits={circuit.num_qubits}"]
     for g in circuit.gates:
-        kind = "CNOT" if g.kind == "X" and len(g.controls) == 1 else g.kind
-        controls = "[" + ",".join(f"({q},{pol})" for q, pol in g.controls) + "]"
-        line = f"{kind} targets=[{g.target}] controls={controls}"
+        line = f"{g.kind} target={g.target}"
+        if g.controls:
+            line += " controls=" + ",".join(f"{q}:{pol}" for q, pol in g.controls)
         if g.angle is not None:
             line += f" angle={g.angle!r}"
         lines.append(line)
@@ -651,19 +643,29 @@ def serialize_circuit(circuit: Circuit) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("qubits="):
+    """The circuit ``serialize_circuit`` wrote; other text raises a ValueError naming its line."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("qubits="):
         raise ValueError("circuit text must start with a 'qubits=<q>' header")
-    num_qubits = int(lines[0].split("=", 1)[1])
-    gates = []
-    for ln in lines[1:]:
-        fields = ln.split()
-        kind = _LEGACY_KINDS.get(fields[0], fields[0])
-        parts = dict(f.split("=", 1) for f in fields[1:])
-        targets = ast.literal_eval(parts["targets"])
-        if len(targets) != 1:
-            raise ValueError(f"a gate takes exactly one target, got {ln!r}")
-        controls = tuple(ast.literal_eval(parts.get("controls", "[]")))
-        angle = float(parts["angle"]) if "angle" in parts else None
-        gates.append(Gate(kind, targets[0], controls, angle))
+    number, line = lines[0]
+    try:
+        num_qubits = Circuit(int(line.removeprefix("qubits="))).num_qubits
+        gates = []
+        for number, line in lines[1:]:
+            kind, *fields = line.split()
+            parts = dict(f.partition("=")[::2] for f in fields)
+            if len(parts) < len(fields) or not {"target"} <= parts.keys() <= _FIELDS:
+                raise ValueError("a gate takes target= and optional controls= and angle=")
+            controls = ()
+            if "controls" in parts:
+                pairs = (c.split(":") for c in parts["controls"].split(","))
+                controls = tuple((int(q), int(pol)) for q, pol in pairs)
+            target = int(parts["target"])
+            # checked before Gate builds its kernel index, which grows with the top qubit
+            if max([target, *(q for q, _ in controls)]) >= num_qubits:
+                raise ValueError(f"a qubit is outside [0, {num_qubits})")
+            angle = float(parts["angle"]) if "angle" in parts else None
+            gates.append(Gate(kind, target, controls, angle))
+    except ValueError as exc:
+        raise ValueError(f"line {number} {line!r}: {exc}") from None
     return Circuit(num_qubits, tuple(gates))

@@ -138,6 +138,19 @@ def test_run_strict_degraded_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_strict_exits_2_on_a_match_above_the_minimum(tmp_path, capsys):
+    # three of the four entries sit at the minimum distance 1, where the
+    # paper's single layer gives them probability exactly 0, so the run
+    # accepts the entry at distance 2 and must flag it
+    db = _write(tmp_path / "db.txt", "1010\n0100\n1000\n1110\n")
+    argv = ["run", "--db", db, "--target", "1100", "--layer-policy", "paper"]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["d_min_classical"], record["distance"], record["degraded"]) == (1, 2, True)
+    assert main(argv + ["--strict"]) == 2
+    capsys.readouterr()
+
+
 def test_run_unwritable_out_exits_2(db3, tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
     rc = main(["run", "--db", db3, "--target", "101", "--out", str(missing_dir)])
@@ -172,7 +185,7 @@ def test_run_full_fidelity_loader_pinned(db3, monkeypatch, capsys):
     capsys.readouterr()
     text = serialize_circuit(loaders[0])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "bb41dc79d5dfe7e9c938e1a3cc83185723bd83c1318384f26b28a514b50bb777"
+        "8fffa1a7ab6d30b9f7ec9767eed82a690d9688dad14d98c76b898f4aff5410d9"
     )
 
 

@@ -19,7 +19,7 @@ from qsalign.gasp import (
 )
 from qsalign.experiments import random_database
 from qsalign.registers import database_state
-from qsalign.simcore import Statevector, cnot, fidelity, run_circuit, ry, rz, zero_state
+from qsalign.simcore import Statevector, basis_state, cnot, fidelity, run_circuit, ry, rz
 
 
 def test_config_validation():
@@ -124,7 +124,7 @@ def test_gasp_checks_batched_fitness_against_run_circuit(monkeypatch):
 
 
 def test_gasp_trivial_target_converges_immediately():
-    result = gasp_prepare(zero_state(2), GaConfig(rng_seed=0))
+    result = gasp_prepare(basis_state(2, 0), GaConfig(rng_seed=0))
     assert result.converged
     assert result.fidelity == 1.0
     assert result.generations == 0  # the seeded empty genome already wins
@@ -162,7 +162,7 @@ def test_gasp_validation():
     with pytest.raises(ValueError):
         gasp_prepare(Statevector(2, np.array([1, 1, 0, 0], dtype=complex)))
     with pytest.raises(ValueError):
-        gasp_prepare(zero_state(9))
+        gasp_prepare(basis_state(9, 0))
 
 
 def test_perturbation_spec_validation():
@@ -190,14 +190,14 @@ def test_perturb_state_hits_requested_fidelity():
 
 
 def test_perturb_state_identity_at_full_fidelity():
-    target = zero_state(3)
+    target = basis_state(3, 0)
     perturbed, spec = perturb_state(target, 1.0, seed=5)
     assert spec.epsilon == 0.0
     assert np.array_equal(perturbed.amplitudes, target.amplitudes)
 
 
 def test_perturb_state_deterministic():
-    target = zero_state(3)
+    target = basis_state(3, 0)
     a, spec_a = perturb_state(target, 0.7, seed=9)
     b, spec_b = perturb_state(target, 0.7, seed=9)
     assert np.array_equal(a.amplitudes, b.amplitudes)
@@ -208,13 +208,13 @@ def test_perturb_state_deterministic():
 
 def test_perturb_state_validation():
     with pytest.raises(ValueError):
-        perturb_state(zero_state(2), 0.0, seed=1)
+        perturb_state(basis_state(2, 0), 0.0, seed=1)
     with pytest.raises(ValueError):
-        perturb_state(zero_state(2), 1.1, seed=1)
+        perturb_state(basis_state(2, 0), 1.1, seed=1)
     # a single amplitude has no orthogonal direction to move into
     with pytest.raises(ValueError):
-        perturb_state(zero_state(0), 0.5, seed=1)
-    assert perturb_state(zero_state(0), 1.0, seed=1)[0].amplitudes[0] == 1.0
+        perturb_state(basis_state(0, 0), 0.5, seed=1)
+    assert perturb_state(basis_state(0, 0), 1.0, seed=1)[0].amplitudes[0] == 1.0
 
 
 def test_perturb_state_refuses_a_draw_parallel_to_the_target():

@@ -37,7 +37,7 @@ from qsalign.registers import (
     initialisation_unitary,
     target_loader,
 )
-from qsalign.simcore import Circuit, concat, run_circuit, sample_counts, zero_state
+from qsalign.simcore import Circuit, basis_state, concat, run_circuit, sample_counts
 
 
 def _loader(kind, db, seed, requested):
@@ -55,7 +55,7 @@ def _loader(kind, db, seed, requested):
 
 def _gate_by_gate(circuit):
     """The circuit on |0...0>, each gate one kernel update of the whole register."""
-    tensor = zero_state(circuit.num_qubits).amplitudes.reshape((2,) * circuit.num_qubits)
+    tensor = basis_state(circuit.num_qubits, 0).amplitudes.reshape((2,) * circuit.num_qubits)
     for gate in circuit.gates:
         simcore._apply_gate_inplace(tensor, gate)
     return tensor.reshape(-1)
@@ -130,7 +130,8 @@ def _gate_level_run_qsa(db_loader, db, target, config):
                     nearest = entry
             hits = [item for item in seen if distance[item[2]] == delta]
             if hits:
-                return result(max(hits)[2], degraded=False)
+                match = max(hits)[2]
+                return result(match, degraded=distance[match] > min(distance.values()))
     if nearest is None:
         nearest = min(db.entries, key=lambda e: (distance[e], e))
     return result(nearest, degraded=True)

@@ -270,7 +270,7 @@ def test_paper_policy_returns_the_minimum_unless_its_probe_cannot_succeed():
     # every sampled entry at the probed distance counts, not only the top
     # outcome, so an exact loader finds d_min whenever its probe has any
     # chance; the one exemption is c/N = 3/4, where the paper's single
-    # layer gives exactly zero
+    # layer gives exactly zero, and the farther answer must be flagged
     exempt = 0
     for n, instances in ((3, 40), (4, 40), (5, 40), (6, 15)):
         for seed in range(instances):
@@ -278,10 +278,11 @@ def test_paper_policy_returns_the_minimum_unless_its_probe_cannot_succeed():
             target = random_target(n, [seed, n, 1])
             d_min, nearest = classical_min_hamming(db, target)
             plan = make_plan(db.size, len(nearest), "paper_ceil")
+            result = run_qsa(exact_loader(db), db, target, QsaConfig(rng_seed=seed))
             if success_probability(plan.layers, db.size, len(nearest)) < 1e-12:
                 exempt += 1
+                assert result.distance > d_min and result.degraded, (n, seed)
                 continue
-            result = run_qsa(exact_loader(db), db, target, QsaConfig(rng_seed=seed))
             assert (result.distance, result.degraded) == (d_min, False), (n, seed)
     assert exempt < 10
 

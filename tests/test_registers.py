@@ -31,7 +31,6 @@ from qsalign.simcore import (
     run_circuit,
     rz,
     x,
-    zero_state,
 )
 
 DNA = Alphabet(("A", "C", "G", "T"))
@@ -277,7 +276,7 @@ def test_popcount_is_permutation():
     # so a second pass on a nonzero distance register stays reversible
     layout = RegisterLayout(3)
     circuit = popcount_operator(layout)
-    state = zero_state(layout.total)
+    state = basis_state(layout.total, 0)
     for s in (0b101, 0b111):
         start = basis_state(layout.total, layout.pack_index(0, s, 0))
         once = apply_circuit(start, circuit)

@@ -30,7 +30,6 @@ from qsalign.simcore import (
     serialize_circuit,
     x,
     z,
-    zero_state,
 )
 
 
@@ -64,18 +63,18 @@ def test_gate_matrix_fixed_at_construction():
     with pytest.raises(ValueError, match=r"touches qubits \[3\] outside \[0, 2\)"):
         Circuit(2, (x(3, controls=((1, 1),)),))
     with pytest.raises(ValueError, match=r"touches qubits \[2\] outside \[0, 2\)"):
-        apply_circuit(zero_state(2), Circuit(2, (x(0, controls=((2, 1),)),)))
+        apply_circuit(basis_state(2, 0), Circuit(2, (x(0, controls=((2, 1),)),)))
 
 
 def test_qubit_zero_is_least_significant():
-    state = apply_circuit(zero_state(3), Circuit(3, (x(0),)))
+    state = apply_circuit(basis_state(3, 0), Circuit(3, (x(0),)))
     assert np.isclose(abs(state.amplitudes[1]), 1.0)
-    state = apply_circuit(zero_state(3), Circuit(3, (x(2),)))
+    state = apply_circuit(basis_state(3, 0), Circuit(3, (x(2),)))
     assert np.isclose(abs(state.amplitudes[4]), 1.0)
 
 
 def test_hadamard_and_z():
-    plus = apply_circuit(zero_state(1), Circuit(1, (h(0),)))
+    plus = apply_circuit(basis_state(1, 0), Circuit(1, (h(0),)))
     assert np.allclose(plus.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
     back = apply_circuit(plus, Circuit(1, (h(0),)))
     assert np.allclose(back.amplitudes, [1, 0], atol=1e-12)
@@ -86,13 +85,13 @@ def test_hadamard_and_z():
 def test_rotation_matrices():
     # RY(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>
     theta = 0.7368
-    state = apply_circuit(zero_state(1), Circuit(1, (ry(0, theta),)))
+    state = apply_circuit(basis_state(1, 0), Circuit(1, (ry(0, theta),)))
     assert np.allclose(state.amplitudes, [math.cos(theta / 2), math.sin(theta / 2)])
     # RX(pi) acts as X up to global phase
-    state = apply_circuit(zero_state(1), Circuit(1, (rx(0, math.pi),)))
+    state = apply_circuit(basis_state(1, 0), Circuit(1, (rx(0, math.pi),)))
     assert np.isclose(abs(state.amplitudes[1]), 1.0)
     # RZ only phases
-    state = apply_circuit(zero_state(1), Circuit(1, (h(0), rz(0, theta))))
+    state = apply_circuit(basis_state(1, 0), Circuit(1, (h(0), rz(0, theta))))
     assert np.allclose(np.abs(state.amplitudes) ** 2, [0.5, 0.5])
 
 
@@ -149,7 +148,7 @@ def test_random_circuit_preserves_norm_and_inverts():
     state = run_circuit(circuit)
     assert np.isclose(np.linalg.norm(state.amplitudes), 1.0)
     back = apply_circuit(state, invert(circuit))
-    assert np.allclose(back.amplitudes, zero_state(4).amplitudes, atol=1e-12)
+    assert np.allclose(back.amplitudes, basis_state(4, 0).amplitudes, atol=1e-12)
 
 
 def test_concat_and_width_checks():
@@ -160,7 +159,7 @@ def test_concat_and_width_checks():
     with pytest.raises(ValueError):
         concat(a, Circuit(3, ()))
     with pytest.raises(ValueError):
-        apply_circuit(zero_state(3), a)
+        apply_circuit(basis_state(3, 0), a)
     with pytest.raises(ValueError):
         Circuit(2, (x(5),))
 
@@ -187,7 +186,7 @@ def test_basis_state_bounds():
 
 
 def test_sample_counts_deterministic_and_consistent():
-    state = apply_circuit(zero_state(2), Circuit(2, (h(0), h(1))))
+    state = apply_circuit(basis_state(2, 0), Circuit(2, (h(0), h(1))))
     counts = sample_counts(state, 4096, 7)
     assert sum(counts.values()) == 4096
     assert counts == sample_counts(state, 4096, 7)
@@ -199,7 +198,7 @@ def test_sample_counts_deterministic_and_consistent():
 
 
 def test_sample_counts_skips_zero_probability():
-    state = apply_circuit(zero_state(2), Circuit(2, (h(0),)))  # support on 0 and 1 only
+    state = apply_circuit(basis_state(2, 0), Circuit(2, (h(0),)))  # support on 0 and 1 only
     counts = sample_counts(state, 2000, 3)
     assert list(counts) == [0, 1]
     assert sum(counts.values()) == 2000
@@ -216,19 +215,19 @@ def test_sample_counts_skips_zero_probability():
 
 
 def test_fidelity():
-    a = zero_state(2)
+    a = basis_state(2, 0)
     b = basis_state(2, 1)
     assert fidelity(a, a) == 1.0
     assert fidelity(a, b) == 0.0
-    plus = apply_circuit(zero_state(1), Circuit(1, (h(0),)))
-    assert np.isclose(fidelity(plus, zero_state(1)), 0.5)
+    plus = apply_circuit(basis_state(1, 0), Circuit(1, (h(0),)))
+    assert np.isclose(fidelity(plus, basis_state(1, 0)), 0.5)
     with pytest.raises(ValueError):
-        fidelity(a, zero_state(3))
+        fidelity(a, basis_state(3, 0))
 
 
 def test_global_phase_invisible_to_fidelity():
-    amps = np.exp(1j * 0.321) * zero_state(2).amplitudes
-    assert np.isclose(fidelity(Statevector(2, amps), zero_state(2)), 1.0)
+    amps = np.exp(1j * 0.321) * basis_state(2, 0).amplitudes
+    assert np.isclose(fidelity(Statevector(2, amps), basis_state(2, 0)), 1.0)
 
 
 def test_serialize_parse_roundtrip():
@@ -268,30 +267,62 @@ def test_serialize_parse_roundtrip_every_kind(kind, num_controls, data):
     assert parse_circuit(serialize_circuit(circuit)) == circuit
 
 
-def test_parse_reads_legacy_kinds_as_x_and_z():
-    text = (
-        "qubits=3\n"
-        "CNOT targets=[1] controls=[(0,1)]\n"
-        "MCX targets=[2] controls=[(0,1),(1,0)]\n"
-        "MCZ targets=[0] controls=[(2,1)]\n"
-        "MCZ targets=[1] controls=[]\n"
-    )
-    expected = (cnot(0, 1), x(2, ((0, 1), (1, 0))), z(0, ((2, 1),)), z(1))
-    assert parse_circuit(text).gates == expected
-
-
-def test_serialize_writes_cnot_exactly_for_a_one_control_x():
+def test_serialize_writes_each_gate_its_own_kind_and_one_target():
     gates = (
         x(0),
         cnot(0, 1),
         x(1, ((0, 0),)),
         x(2, ((0, 1), (1, 1))),
-        z(2, ((0, 1),)),
+        z(2, ((1, 0), (0, 1))),
         ry(1, 0.5, ((0, 1),)),
     )
-    lines = serialize_circuit(Circuit(3, gates)).splitlines()
-    assert [line.split()[0] for line in lines[1:]] == ["X", "CNOT", "CNOT", "X", "Z", "RY"]
-    assert lines[2] == "CNOT targets=[1] controls=[(0,1)]"
+    assert serialize_circuit(Circuit(3, gates)).splitlines() == [
+        "qubits=3",
+        "X target=0",
+        "X target=1 controls=0:1",
+        "X target=1 controls=0:0",
+        "X target=2 controls=0:1,1:1",
+        "Z target=2 controls=1:0,0:1",
+        "RY target=1 controls=0:1 angle=0.5",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("qubits=2\nCNOT target=1 controls=0:1\n", "line 2 .*unknown gate kind 'CNOT'"),
+        ("qubits=3\nMCX target=2 controls=0:1,1:0\n", "line 2 .*unknown gate kind 'MCX'"),
+        ("qubits=3\nMCZ target=0 controls=2:1\n", "line 2 .*unknown gate kind 'MCZ'"),
+        ("qubits=2\nH target=1\nX targets=[0] controls=[]\n", "line 3 .*target="),
+        ("qubits=2\nX target=0 phase=1\n", "line 2 .*target="),
+        ("qubits=2\nRY controls=0:1 angle=0.5\n", "line 2 .*target="),
+        ("qubits=2\nX target=2\n", "line 2 .*outside"),
+        ("\nqubits=x\n", "line 2 "),
+        ("X target=0\n", "header"),
+    ],
+    ids=["cnot", "mcx", "mcz", "target_list", "unknown_field", "no_target", "out_of_range",
+         "bad_header", "no_header"],
+)
+def test_parse_refuses_text_the_writer_never_writes(text, match):
+    with pytest.raises(ValueError, match=match):
+        parse_circuit(text)
+
+
+# every character the syntax uses, and whole tokens, so that near-miss lines
+# come up often
+_SYNTAX = st.text("XZHRYtargecoln=:,.-+0123456789 \n", max_size=8) | st.sampled_from(
+    ["X ", "RY ", "CNOT ", "target=", "controls=", "angle=", "targets=[0]", "1", "0:1", "\n"]
+)
+
+
+@settings(max_examples=500)
+@given(body=st.lists(_SYNTAX, max_size=12).map("".join))
+def test_parse_returns_a_circuit_or_raises_value_error(body):
+    try:
+        circuit = parse_circuit("qubits=3\n" + body)
+    except ValueError:
+        return
+    assert isinstance(circuit, Circuit)
 
 
 @pytest.mark.parametrize("kind", ["CNOT", "MCX", "MCZ"])
@@ -308,5 +339,5 @@ def test_gate_refuses_controls_that_are_not_pairs(controls):
 
 @pytest.mark.parametrize("targets", ["[]", "[0,1]"])
 def test_parse_refuses_a_gate_without_exactly_one_target(targets):
-    with pytest.raises(ValueError, match="exactly one target"):
-        parse_circuit(f"qubits=2\nX targets={targets} controls=[]\n")
+    with pytest.raises(ValueError, match="line 2 "):
+        parse_circuit(f"qubits=2\nX target={targets}\n")

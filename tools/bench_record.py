@@ -21,6 +21,14 @@ the pass count by least squares, with one slope (MB per pass) for both
 sides and an intercept for each, and records the slope, the base's
 intercept and the head's offset from it: the head's peak less the
 base's at an equal pass count.
+
+Each scaled metric is a raw reading times the gauge's scale factor, and
+the gauge can move it on paths no change touched. So next to
+``small_scaled_ms``, ``large_scaled_ms`` and ``setup_s`` the file also
+records each side's median raw reading (the class's mean latency, or the
+median of the set-up samples) and median scale factor, all read off
+``bench/run.py``'s detail line; each run keeps its own under ``raw`` and
+``scale``.
 Runs go one at a time; nothing under ``bench/`` is changed.
 """
 from __future__ import annotations
@@ -41,6 +49,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CASES = (("align", 1), ("align", 7919), ("sweep", 1), ("synth", 1), ("verify", 1))
 PAIRS = 10
+# each scaled metric's part of the detail line: the latency class, or set-up
+SCALED = {"small_scaled_ms": "small", "large_scaled_ms": "large", "setup_s": "setup"}
 
 
 def _git(*args: str) -> str:
@@ -80,11 +90,16 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     if done.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"error: {' '.join(command)} in {checkout} failed:\n{done.stderr[-2000:]}")
     detail, result = json.loads(lines[-2]), json.loads(lines[-1])
+    latency, speed = detail["latency"], detail["speed"]
     return {
         "correct": result["correct"],
         "failed": result["failed"],
         "passes": detail["passes"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "raw": {"small": latency["small"]["mean_ms"], "large": latency["large"]["mean_ms"],
+                "setup": statistics.median(detail["setup_s_samples"])},
+        "scale": {"small": speed["scale"]["small"], "large": speed["scale"]["large"],
+                  "setup": speed["run_scale_by_part"]["narrow"]},
     }
 
 
@@ -163,6 +178,15 @@ def main(argv=None) -> int:
                                          for b, h in zip(values["base"], values["head"])),
                 "pairs": len(values["base"]),
             }
+            if name in SCALED:
+                for reading in ("raw", "scale"):
+                    medians = {s: statistics.median(r[reading][SCALED[name]] for r in side[s])
+                               for s in side}
+                    case[name][reading] = {
+                        "base_median": medians["base"],
+                        "head_median": medians["head"],
+                        "change_pct": 100.0 * (medians["head"] / medians["base"] - 1.0),
+                    }
         summary[f"{workload}@{seed}"] = case
 
     record = {
