@@ -30,8 +30,10 @@ GATE_KINDS = frozenset({"X", "Z", "H", "RX", "RY", "RZ"})
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 _PACK_SELECT = struct.Struct("4q").pack
+_UNPACK_SELECT = struct.Struct("4q").unpack
 _WHOLE_AXIS = slice(None)
 _MAX_QUBIT = attrgetter("max_qubit")
+_TARGET = attrgetter("target")
 
 
 def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
@@ -62,7 +64,7 @@ class Gate:
     qubit touched (``max_qubit``), the index of the target's 0-half and
     1-half in a (2,)*q tensor view of the amplitudes, and the packed
     (target, max_qubit, control mask, control value) that
-    ``run_sequences`` and ``apply_circuit``'s run test read. The
+    ``run_sequences`` and ``apply_circuit``'s run and level tests read. The
     read-only ``matrix`` array is a view of those bytes, built on first
     use and kept on the gate: ``run_sequences`` reads the bytes alone, so
     a synthesis builds one only for the gates of the circuit it returns.
@@ -325,6 +327,9 @@ def _apply_gate_inplace(tensor: np.ndarray, gate: Gate) -> None:
 # them (z); their packed _select bytes say on which basis states
 _RUN_CLASS = {"X": "x", "Z": "z"}
 _FUSED_RUN_MIN_GATES = 3
+# a level of two or three gates saves less than looking for levels costs on
+# the short stretches of small registers, where most stretches are that long
+_LEVEL_MIN_GATES = 4
 
 
 class _SignedPermutations:
@@ -407,51 +412,136 @@ def _signed_permutation(num_qubits: int, run: list[Gate]):
 _RUNS = _SignedPermutations()
 
 
-def _apply_run(tensor: np.ndarray, run: list[Gate]) -> np.ndarray:
-    """Apply a maximal run of X and Z gates; return the amplitudes' tensor.
+def _fused_classes(run: list[Gate], num_qubits: int) -> str | None:
+    """A run of X and Z gates' class string, if it is fused into one signed permutation."""
+    if len(run) < _FUSED_RUN_MIN_GATES or not _RUNS.fits(num_qubits):
+        return None
+    classes = "".join([_RUN_CLASS[gate.kind] for gate in run])
+    if "x" in classes and any(gate.controls for gate in run):
+        return classes
+    return None
+
+
+def _apply_signed_permutation(tensor: np.ndarray, run: list[Gate], classes: str) -> np.ndarray:
+    """Apply a fused run of X and Z gates; return the amplitudes' tensor.
 
     The result is ``tensor`` itself, updated in place, unless the run is
     gathered into a new array.
     """
-    if len(run) >= _FUSED_RUN_MIN_GATES and _RUNS.fits(tensor.ndim):
-        classes = "".join([_RUN_CLASS[gate.kind] for gate in run])
-        if "x" in classes and any(gate.controls for gate in run):
-            source, negated = _RUNS.lookup(tensor.ndim, classes, run)
-            flat = tensor.reshape(-1)
-            if source is not None:
-                flat = flat[source]
-            if negated is not None:
-                flat[negated] *= -1.0
-            return flat.reshape(tensor.shape)
-    _apply_live_rows(tensor, run)
-    return tensor
+    source, negated = _RUNS.lookup(tensor.ndim, classes, run)
+    flat = tensor.reshape(-1)
+    if source is not None:
+        flat = flat[source]
+    if negated is not None:
+        flat[negated] *= -1.0
+    return flat.reshape(tensor.shape)
 
 
 def _signed(gate: Gate) -> bool:
     return gate.kind in _RUN_CLASS
 
 
-def _apply_live_rows(tensor: np.ndarray, run: list[Gate]) -> None:
-    """Apply a run of gates one at a time, in place.
+def _level_key(gate: Gate):
+    # the kind, and the packed target, highest qubit and control mask; X and
+    # Z gates swap or negate rather than multiply, so they never join a level
+    return None if gate.kind in _RUN_CLASS else (gate.kind, gate._select[:24])
 
-    Every gate of the run acts within rows of 2^w consecutive amplitudes,
-    w the run's highest qubit plus one. When some rows are all zero, the
-    run is applied to a gathered copy of the live rows alone, which are
-    then written back; otherwise, or when w spans the whole register, to
-    ``tensor`` itself. ``tensor`` is C-contiguous, so its rows are a view.
+
+def _level_prefixes(level: list[Gate]):
+    """Where a level's gates sit among their target's control prefixes, or None.
+
+    The gates share a kind, a target j and a control mask. They are one
+    level when that mask is qubits j+1..top and no two of them sit at
+    the same control value: a slice for an ascending run of prefixes, an
+    index array for any other order.
     """
-    width = max(map(_MAX_QUBIT, run)) + 1
+    target, top, mask, _ = _UNPACK_SELECT(level[0]._select)
+    if mask != (1 << top + 1) - (1 << target + 1):
+        return None
+    prefixes = [_UNPACK_SELECT(gate._select)[3] >> target + 1 for gate in level]
+    first = prefixes[0]
+    if prefixes == list(range(first, first + len(prefixes))):
+        return slice(first, first + len(prefixes))
+    if len(set(prefixes)) < len(prefixes):
+        return None
+    return np.array(prefixes, dtype=np.intp)
+
+
+def _apply_level(tensor: np.ndarray, level: list[Gate], prefixes) -> None:
+    """Apply a level's gates, which touch disjoint pairs, as one update in place.
+
+    ``tensor`` is C-contiguous, so it reshapes with no copy to (rows,
+    2^(top - j), 2, 2^j), for target j and highest qubit top: control
+    prefix, target bit, the qubits below the target.
+    Every gate's pairs get ``_apply_gate_inplace``'s elementwise
+    arithmetic, u00*a + u01*b and u10*a + u11*b, with its own matrix
+    entries broadcast over them.
+    """
+    target = level[0].target
+    view = tensor.reshape(-1, 1 << (level[0].max_qubit - target), 2, 1 << target)
+    u = np.frombuffer(b"".join([gate._coefficients for gate in level]), np.complex128)
+    # column 0 and column 1 of every gate's matrix, shaped (gates, 2, 1)
+    u = u.reshape(-1, 2, 2, 1)
+    view[:, prefixes] = u[:, :, 0] * view[:, prefixes, :1] + u[:, :, 1] * view[:, prefixes, 1:]
+
+
+def _apply_gates(tensor: np.ndarray, gates: list[Gate]) -> None:
+    """Apply gates in order, in place, each level (``_level_prefixes``) as one update."""
+    # a level's gates share a target, so without _LEVEL_MIN_GATES gates on
+    # one target every gate goes alone
+    few = len(gates) - _LEVEL_MIN_GATES + 1
+    if few <= 0 or len(set(map(_TARGET, gates))) > few:
+        for gate in gates:
+            _apply_gate_inplace(tensor, gate)
+        return
+    for _, group in groupby(gates, _TARGET):
+        group = list(group)
+        short = len(group) < _LEVEL_MIN_GATES
+        for key, level in ((None, group),) if short else groupby(group, _level_key):
+            level = list(level)
+            prefixes = None
+            if key is not None and len(level) >= _LEVEL_MIN_GATES:
+                prefixes = _level_prefixes(level)
+            if prefixes is None:
+                for gate in level:
+                    _apply_gate_inplace(tensor, gate)
+            else:
+                _apply_level(tensor, level, prefixes)
+
+
+def _apply_live_rows(tensor: np.ndarray, stretch: list[Gate]) -> None:
+    """Apply a stretch of gates that are not fused, in place.
+
+    Every gate of the stretch acts within rows of 2^w consecutive
+    amplitudes, w its highest qubit plus one; where that spans the
+    register, w leaves out the Z gates, which keep every amplitude
+    nonzero or zero wherever they act. So the rows that hold a nonzero
+    amplitude stay the same through the stretch, and when some are all
+    zero, one ``any`` finds them: the gates below w go to a gathered copy
+    of those rows, which is then written back, and a Z that reaches w or
+    above goes to ``tensor`` in between. Otherwise, or when w still spans
+    the register, every gate goes to ``tensor`` itself. ``tensor`` is
+    C-contiguous, so its rows are a view.
+    """
+    width = max(map(_MAX_QUBIT, stretch)) + 1
+    parts = [stretch]
+    if width == tensor.ndim:
+        width = max([gate.max_qubit for gate in stretch if gate.kind != "Z"], default=width - 1) + 1
+        parts = [list(part) for _, part in groupby(stretch, lambda gate: gate.max_qubit < width)]
     if width < tensor.ndim:
         rows = tensor.reshape(-1, 1 << width)
         live = np.flatnonzero(rows.any(axis=1))
         if len(live) < len(rows):
-            block = rows[live].reshape((len(live),) + (2,) * width)
-            for gate in run:
-                _apply_gate_inplace(block, gate)
-            rows[live] = block.reshape(len(live), -1)
+            for part in parts:
+                if part[0].max_qubit >= width:  # Z gates alone
+                    for gate in part:
+                        _apply_gate_inplace(tensor, gate)
+                    continue
+                block = rows[live].reshape((len(live),) + (2,) * width)
+                _apply_gates(block, part)
+                rows[live] = block.reshape(len(live), -1)
             return
-    for gate in run:
-        _apply_gate_inplace(tensor, gate)
+    _apply_gates(tensor, stretch)
 
 
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
@@ -461,26 +551,30 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     and maximal runs of the other kinds, which mix amplitudes.
 
     A run of three or more X and Z gates, with an X gate and a controlled
-    gate among them, is applied as one signed permutation: one gather
-    ``out[source]``, skipped where the run moves no amplitude, then one
-    indexed negation. Both index arrays are found once per distinct run,
-    by applying its gates to signed index labels, and kept in a cache
-    bounded in bytes (see ``_SignedPermutations``). Moving a value and
-    multiplying it by -1.0 are both exact, so every amplitude equals its
-    gate-by-gate value; only the sign of a zero can differ. No other X
-    and Z run is cached: a run of uncontrolled gates is a per-target
-    load, which would add a cache entry per target; a run of Z gates
-    alone moves nothing; and a run of one or two gates costs about what
-    the gather does.
+    gate among them, is fused: applied as one signed permutation, one
+    gather ``out[source]``, skipped where the run moves no amplitude,
+    then one indexed negation. Both index arrays are found once per
+    distinct run, by applying its gates to signed index labels, and kept
+    in a cache bounded in bytes (see ``_SignedPermutations``). Moving a
+    value and multiplying it by -1.0 are both exact, so every amplitude
+    equals its gate-by-gate value; only the sign of a zero can differ. No
+    other X and Z run is cached: a run of uncontrolled gates is a
+    per-target load, which would add a cache entry per target; a run of
+    Z gates alone moves nothing; and a run of one or two gates costs
+    about what the gather does.
 
-    Every other run goes gate by gate. A run that touches qubits below w
-    alone maps each row of 2^w consecutive amplitudes into itself, so it
-    is applied only to the rows that hold a nonzero amplitude when it
-    starts, gathered into one block and scattered back (see
-    ``_apply_live_rows``). A search's loader, CNOTs and all, thus touches
-    the one 2^n row its state lives in. This is exact too: a live row
-    gets the same elementwise arithmetic as in place, and a row of zeros
-    would only have been rewritten with zeros.
+    The circuit splits only at fused runs. Each stretch between them,
+    mixing runs and X and Z runs that are not fused, goes gate by gate
+    to the rows that hold a nonzero amplitude when it starts, gathered
+    into one block and scattered back (see ``_apply_live_rows``). A
+    search's loader, CNOTs and all, thus touches the one 2^n row its
+    state lives in. This is exact too: a live row gets the same
+    elementwise arithmetic as in place, and a row of zeros would only
+    have been rewritten with zeros. Within a stretch, four or more
+    consecutive gates of one kind that share a target and the control
+    qubits above it, each at its own control value, are one multiplexed
+    update (see ``_level_prefixes``): they touch disjoint pairs, so they
+    commute, and each pair gets the arithmetic its own gate would give it.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
@@ -488,12 +582,19 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
         )
     # C-contiguous, so the reshape is a view
     tensor = state.amplitudes.copy().reshape((2,) * state.num_qubits)
+    stretch = []
     for signed, run in groupby(circuit.gates, _signed):
         run = list(run)
-        if signed:
-            tensor = _apply_run(tensor, run)
-        else:
-            _apply_live_rows(tensor, run)
+        classes = _fused_classes(run, tensor.ndim) if signed else None
+        if classes is None:
+            stretch += run
+            continue
+        if stretch:
+            _apply_live_rows(tensor, stretch)
+            stretch = []
+        tensor = _apply_signed_permutation(tensor, run, classes)
+    if stretch:
+        _apply_live_rows(tensor, stretch)
     return Statevector(state.num_qubits, tensor.reshape(-1))
 
 
@@ -603,15 +704,23 @@ def sample_counts(state: Statevector, shots: int, rng_seed: int) -> dict[int, in
 
     Deterministic for a fixed seed. Only outcomes with nonzero count
     appear, in ascending index order.
+
+    The multinomial runs over the support alone, in ascending index
+    order, each probability divided by the whole array's sum. numpy draws
+    nothing for a zero probability and subtracting one is exact, so every
+    count equals the full-array draw's, but for one case: a shot left
+    over by rounding (of order 1e-13 probability) lands on the last index
+    that can occur, where the full array put it on index 2^q - 1 at zero
+    probability.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = state.probabilities()
-    probs = probs / probs.sum()
+    support = np.flatnonzero(probs)
     rng = np.random.default_rng(rng_seed)
-    drawn = rng.multinomial(shots, probs)
+    drawn = rng.multinomial(shots, probs[support] / probs.sum())
     hits = np.flatnonzero(drawn)
-    return dict(zip(hits.tolist(), drawn[hits].tolist()))
+    return dict(zip(support[hits].tolist(), drawn[hits].tolist()))
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:
@@ -650,6 +759,10 @@ def parse_circuit(text: str) -> Circuit:
     number, line = lines[0]
     try:
         num_qubits = Circuit(int(line.removeprefix("qubits="))).num_qubits
+        # Gate packs a control mask for qubits below 63 alone, and no
+        # statevector comes near that width
+        if num_qubits > 63:
+            raise ValueError(f"a circuit takes at most 63 qubits, got {num_qubits}")
         gates = []
         for number, line in lines[1:]:
             kind, *fields = line.split()

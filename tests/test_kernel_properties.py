@@ -12,7 +12,7 @@ from math import cos, pi, sin
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsalign import simcore
@@ -26,6 +26,8 @@ from qsalign.registers import (
     TargetSequence,
     exact_loader,
     initialisation_unitary,
+    state_preparation_circuit,
+    target_loader,
 )
 from qsalign.simcore import (
     GATE_KINDS,
@@ -35,9 +37,11 @@ from qsalign.simcore import (
     Statevector,
     apply_circuit,
     cnot,
+    invert,
     parse_circuit,
     run_circuit,
     run_sequences,
+    sample_counts,
     serialize_circuit,
     x,
 )
@@ -569,3 +573,190 @@ def test_search_circuit_matches_mask_kernel_exactly(circuit):
     zero = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
     zero[0] = 1.0
     assert np.array_equal(run_circuit(circuit).amplitudes, _reference_circuit(zero, circuit))
+
+
+# --- levels of a rotation tree applied as one multiplexed update -----------
+# Within a stretch that goes gate by gate, four or more consecutive gates of
+# one kind on one target j, controlled by exactly the qubits j+1..top, each
+# at its own control value, are one update. These are the levels that
+# state_preparation_circuit emits, and their inverses; the kernel must
+# give every amplitude its gate-by-gate value, and a stretch that repeats
+# a control value must go gate by gate.
+
+
+def _gate_by_gate(num_qubits, amplitudes, gates):
+    """Each gate one kernel update of the whole register, in order."""
+    tensor = np.array(amplitudes, dtype=np.complex128).reshape((2,) * num_qubits)
+    for gate in gates:
+        simcore._apply_gate_inplace(tensor, gate)
+    return tensor.reshape(-1)
+
+
+def _prefix(gate):
+    return sum(pol << (q - gate.target - 1) for q, pol in gate.controls)
+
+
+class _Levels:
+    """Records each level the kernel applies as one update, and checks it."""
+
+    def __init__(self, monkeypatch):
+        self.seen = []
+        kernel = simcore._apply_level
+
+        def spy(tensor, level, prefixes):
+            target, top = level[0].target, level[0].max_qubit
+            for gate in level:
+                assert (gate.kind, gate.target, gate.max_qubit) == (level[0].kind, target, top)
+                assert sorted(q for q, _ in gate.controls) == list(range(target + 1, top + 1))
+            values = [_prefix(gate) for gate in level]
+            assert len(set(values)) == len(values) >= 4
+            assert list(np.arange(1 << (top - target))[prefixes]) == values
+            self.seen.append(level)
+            kernel(tensor, level, prefixes)
+
+        monkeypatch.setattr(simcore, "_apply_level", spy)
+
+
+def _check_against_gate_by_gate(circuit, amplitudes, monkeypatch):
+    with monkeypatch.context() as patch:
+        levels = _Levels(patch)
+        out = apply_circuit(Statevector(circuit.num_qubits, amplitudes), circuit)
+    expected = _gate_by_gate(circuit.num_qubits, amplitudes, circuit.gates)
+    assert np.array_equal(out.amplitudes, expected)
+    return levels.seen
+
+
+@st.composite
+def loadable_states(draw, max_qubits=6):
+    """A normalised state on 1..max_qubits qubits: real and positive, sparse, or complex."""
+    num_qubits = draw(st.integers(1, max_qubits))
+    shape = draw(st.sampled_from(["dense", "sparse", "phases"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.abs(rng.normal(size=1 << num_qubits)).astype(np.complex128)
+    if shape == "sparse":
+        amps[rng.random(len(amps)) < 0.6] = 0.0
+        amps[rng.integers(len(amps))] = 1.0
+    elif shape == "phases":
+        amps *= np.exp(1j * rng.uniform(-pi, pi, size=len(amps)))
+    return Statevector(num_qubits, amps / np.linalg.norm(amps)), shape
+
+
+def _basis(num_qubits, index=0):
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[index] = 1.0
+    return amps
+
+
+# hypothesis runs each example inside one test call, so the spy is patched
+# per example through monkeypatch.context() rather than by a fixture
+_PER_EXAMPLE_PATCH = [HealthCheck.function_scoped_fixture]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=_PER_EXAMPLE_PATCH)
+@given(loadable_states(), st.integers(0, 2**32 - 1))
+def test_loader_levels_match_gate_by_gate_on_a_bare_register(monkeypatch, case, seed):
+    state, shape = case
+    n = state.num_qubits
+    loader = state_preparation_circuit(state)
+    seen = _check_against_gate_by_gate(loader, _basis(n), monkeypatch)
+    if shape == "dense":
+        # RY level j has 2^(n-1-j) gates at distinct prefixes; those of four
+        # or more are one update each
+        assert [len(level) for level in seen] == [1 << (n - 1 - j) for j in range(n - 3, -1, -1)]
+    if shape == "phases" and n > 2:
+        assert any(level[0].kind == "RZ" for level in seen)
+    # the inverse runs each level with its prefixes reversed: one index array
+    undo = invert(loader)
+    seen = _check_against_gate_by_gate(undo, state.amplitudes, monkeypatch)
+    assert all(_prefix(level[0]) > _prefix(level[-1]) for level in seen)
+    _check_against_gate_by_gate(undo, _random_amplitudes(n, seed), monkeypatch)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=_PER_EXAMPLE_PATCH)
+@given(loadable_states(max_qubits=5), st.integers(0, 2**32 - 1))
+def test_loader_levels_match_gate_by_gate_on_a_row_of_the_search_register(monkeypatch, case, seed):
+    # the target load leaves one live row of 2^n amplitudes at |., t, 0>, so
+    # the loader, its inverse and the loader again go to that row alone
+    state, _ = case
+    n = state.num_qubits
+    layout = RegisterLayout(n)
+    target = TargetSequence(format(seed % (1 << n), f"0{n}b"))
+    loader = state_preparation_circuit(state)
+    gates = (
+        target_loader(target, layout).gates + loader.gates + invert(loader).gates + loader.gates
+    )
+    circuit = Circuit(layout.total, gates)
+    _check_against_gate_by_gate(circuit, _basis(layout.total), monkeypatch)
+    assert np.array_equal(
+        run_circuit(circuit).amplitudes, _gate_by_gate(layout.total, _basis(layout.total), gates)
+    )
+
+
+def _full_level(num_qubits, target, kind="RY"):
+    """Every gate of one level on ``target``, in ascending prefix order."""
+    above = num_qubits - 1 - target
+    return [
+        Gate(kind, target, [(target + 1 + t, (v >> t) & 1) for t in range(above)],
+             None if kind == "H" else 0.3 + 0.1 * v)
+        for v in range(1 << above)
+    ]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=_PER_EXAMPLE_PATCH)
+@given(st.integers(3, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 3), st.sampled_from(sorted(_MIXING_KINDS)))
+), st.data())
+def test_a_level_in_shuffled_prefix_order_matches_gate_by_gate(monkeypatch, case, data):
+    num_qubits, target, kind = case
+    level = _full_level(num_qubits, target, kind)
+    order = data.draw(st.permutations(range(len(level))))
+    gates = [level[i] for i in order]
+    amps = _random_amplitudes(num_qubits, data.draw(st.integers(0, 2**32 - 1)))
+    seen = _check_against_gate_by_gate(Circuit(num_qubits, tuple(gates)), amps, monkeypatch)
+    assert seen == [gates]
+
+
+@pytest.mark.parametrize("repeat_at", [1, 2, 3])
+def test_a_stretch_that_repeats_a_control_value_goes_gate_by_gate(monkeypatch, repeat_at):
+    # two rotations at the same prefix touch the same pairs, so applied
+    # together the second would overwrite the first: the stretch stays
+    # sequential, and no level the kernel applies at once repeats a value
+    level = _full_level(3, 0)
+    gates = level[:repeat_at] + [level[0].with_angle(1.1)] + level[repeat_at:]
+    for amps in (_random_amplitudes(3, 4), _basis(3, 0)):
+        seen = _check_against_gate_by_gate(Circuit(3, tuple(gates)), amps, monkeypatch)
+        assert seen == []
+
+
+def test_the_level_rule_needs_exactly_the_qubits_above_the_target(monkeypatch):
+    # controls below the target, or a gap above it, leave the gates one by one
+    below = [Gate("RY", 1, ((0, v & 1), (2, v >> 1)), 0.2 + v) for v in range(4)]
+    gap = [Gate("RY", 0, ((2, v & 1), (3, v >> 1)), 0.4 + v) for v in range(4)]
+    for gates in (below, gap):
+        amps = _random_amplitudes(4, 5)
+        assert _check_against_gate_by_gate(Circuit(4, tuple(gates)), amps, monkeypatch) == []
+
+
+def test_levels_of_fewer_than_four_gates_go_gate_by_gate(monkeypatch):
+    for count in (2, 3):
+        gates = _full_level(3, 0)[:count]
+        amps = _random_amplitudes(3, count)
+        assert _check_against_gate_by_gate(Circuit(3, tuple(gates)), amps, monkeypatch) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 7), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.98), st.integers(1, 5000),
+)
+def test_sampling_the_support_draws_the_full_multinomial(num_qubits, state_seed, rng_seed,
+                                                         zero_share, shots):
+    rng = np.random.default_rng(state_seed)
+    amps = _random_amplitudes(num_qubits, state_seed)
+    amps[rng.random(len(amps)) < zero_share] = 0.0
+    amps[rng.integers(len(amps))] = 0.5
+    state = Statevector(num_qubits, amps / np.linalg.norm(amps))
+    probs = state.probabilities()
+    full = np.random.default_rng(rng_seed).multinomial(shots, probs / probs.sum())
+    expected = [(i, count) for i, count in enumerate(full.tolist()) if count]
+    assert list(sample_counts(state, shots, rng_seed).items()) == expected

@@ -299,9 +299,11 @@ def test_serialize_writes_each_gate_its_own_kind_and_one_target():
         ("qubits=2\nX target=2\n", "line 2 .*outside"),
         ("\nqubits=x\n", "line 2 "),
         ("X target=0\n", "header"),
+        (f"qubits={2**70}\nX target={2**70 - 1}\n", "line 1 .*at most 63 qubits"),
+        (f"qubits={10**8}\nX target={10**8 - 1}\n", "line 1 .*at most 63 qubits"),
     ],
     ids=["cnot", "mcx", "mcz", "target_list", "unknown_field", "no_target", "out_of_range",
-         "bad_header", "no_header"],
+         "bad_header", "no_header", "header_past_an_index", "header_past_a_control_mask"],
 )
 def test_parse_refuses_text_the_writer_never_writes(text, match):
     with pytest.raises(ValueError, match=match):
