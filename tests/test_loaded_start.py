@@ -3,7 +3,7 @@
 ``run_qsa`` runs each probe as one ``run_circuit`` of its whole search
 circuit. That starts from the basis state |0, t, 0> the target load writes,
 and the loader fills the one block of 2^n amplitudes at |., t, 0>; every
-later run of the loader's gates goes to the rows that hold amplitude alone.
+later stretch of the loader's gates goes to the rows that hold amplitude alone.
 Everything here is compared with ``np.array_equal`` or ``==`` and no
 tolerance, against the kernel's per-gate update on the whole register: the
 shortcuts repeat that arithmetic, so only the sign of a zero may differ.
@@ -169,7 +169,8 @@ def test_probe_loader_gates_touch_only_the_loaded_block(monkeypatch, kind, blind
     # a probe's state lives in the 2^n-amplitude row of |., t, 0> whenever
     # it loads, undoes or redoes the loader, so each of the loader's gates,
     # its X gates included, must see that row alone, never the 2^(2n+k)
-    # amplitudes of the whole register
+    # amplitudes of the whole register, whether it goes gate by gate or
+    # in one level's multiplexed update
     n = 5
     rng = np.random.default_rng(5)
     db = random_database(n, "floor", rng)
@@ -186,18 +187,25 @@ def test_probe_loader_gates_touch_only_the_loaded_block(monkeypatch, kind, blind
     else:
         loader = calibrated_loader(db, float(kind), 17)
     sizes, probes = [], []
-    kernel = simcore._apply_gate_inplace
+    kernel, level_kernel = simcore._apply_gate_inplace, simcore._apply_level
 
     def gate_spy(tensor, gate):
         if probes and gate.max_qubit < n:
             sizes.append(tensor.size)
         kernel(tensor, gate)
 
+    def level_spy(tensor, level, prefixes):
+        # one multiplexed update applies every gate of a level at once
+        if probes and level[0].max_qubit < n:
+            sizes.extend([tensor.size] * len(level))
+        level_kernel(tensor, level, prefixes)
+
     def probe_spy(circuit):
         probes.append(circuit)
         return simcore.run_circuit(circuit)
 
     monkeypatch.setattr(simcore, "_apply_gate_inplace", gate_spy)
+    monkeypatch.setattr(simcore, "_apply_level", level_spy)
     monkeypatch.setattr(qsa, "run_circuit", probe_spy)
     run_qsa(loader, db, target, QsaConfig(shots=256, rng_seed=3, blind=blind))
     # only the loader's gates, and their inverses, act on the data qubits alone
