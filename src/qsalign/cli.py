@@ -310,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--db-size-rule", choices=("floor", "ceil"), default="floor")
     sweep_p.add_argument("--layer-policy", choices=sorted(_POLICIES), default="paper")
     sweep_p.add_argument("--full", action="store_true", help="genetic loader synthesis per trial")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sweep_p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most one per trial and per core"
+    )
     sweep_p.add_argument("--out", default="sweep_out", help="output directory")
     sweep_p.set_defaults(func=_cmd_sweep)
 

@@ -14,6 +14,7 @@ import csv
 import functools
 import json
 import logging
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -360,10 +361,13 @@ def fidelity_sweep(
         mode=mode,
     )
     records: list[SweepRecord] = []
+    # a forked pool starts every worker on its first task, so no more than
+    # there are trials or cores
+    workers = min(jobs, len(grid), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         mapper = map
-        if jobs > 1:
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+        if workers > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=workers))
             mapper = functools.partial(pool.map, chunksize=4)
         for record in mapper(trial_fn, *zip(*grid)):
             records.append(record)

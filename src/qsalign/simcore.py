@@ -33,7 +33,6 @@ _PACK_SELECT = struct.Struct("4q").pack
 _UNPACK_SELECT = struct.Struct("4q").unpack
 _WHOLE_AXIS = slice(None)
 _MAX_QUBIT = attrgetter("max_qubit")
-_TARGET = attrgetter("target")
 
 
 def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
@@ -340,11 +339,12 @@ class _SignedPermutations:
     intp arrays, None where the run moves no amplitude or negates none.
     The key costs two joins, not a hash of every gate's fields.
 
-    The entries take at most ``MAX_BYTES``, 32 MiB, room for four 8 MiB
-    gathers on the n = 8 search register (2n + k = 20 qubits); past it the
-    least recently used go. An entry takes at most 16 bytes per amplitude,
-    so ``fits`` admits runs on at most 21 qubits; wider ones go gate by
-    gate.
+    The entries take at most ``MAX_BYTES``, 32 MiB; past it the least
+    recently used go. A blind n = 8 search (2n + k = 20 qubits) holds 3
+    entries, 9.0 MiB, and one pass of the ``align``, ``sweep`` and
+    ``verify`` benchmarks 10, 17 and 31 entries, 0.38, 0.45 and 1.13 MiB.
+    An entry takes at most 16 bytes per amplitude, so ``fits`` admits runs
+    on at most 21 qubits; wider ones go gate by gate.
     """
 
     MAX_BYTES = 32 << 20
@@ -487,58 +487,47 @@ def _apply_level(tensor: np.ndarray, level: list[Gate], prefixes) -> None:
 
 def _apply_gates(tensor: np.ndarray, gates: list[Gate]) -> None:
     """Apply gates in order, in place, each level (``_level_prefixes``) as one update."""
-    # a level's gates share a target, so without _LEVEL_MIN_GATES gates on
-    # one target every gate goes alone
-    few = len(gates) - _LEVEL_MIN_GATES + 1
-    if few <= 0 or len(set(map(_TARGET, gates))) > few:
+    if len(gates) < _LEVEL_MIN_GATES:
         for gate in gates:
             _apply_gate_inplace(tensor, gate)
         return
-    for _, group in groupby(gates, _TARGET):
+    for key, group in groupby(gates, _level_key):
         group = list(group)
-        short = len(group) < _LEVEL_MIN_GATES
-        for key, level in ((None, group),) if short else groupby(group, _level_key):
-            level = list(level)
-            prefixes = None
-            if key is not None and len(level) >= _LEVEL_MIN_GATES:
-                prefixes = _level_prefixes(level)
-            if prefixes is None:
-                for gate in level:
-                    _apply_gate_inplace(tensor, gate)
-            else:
-                _apply_level(tensor, level, prefixes)
+        prefixes = None
+        if key is not None and len(group) >= _LEVEL_MIN_GATES:
+            prefixes = _level_prefixes(group)
+        if prefixes is None:
+            for gate in group:
+                _apply_gate_inplace(tensor, gate)
+        else:
+            _apply_level(tensor, group, prefixes)
 
 
 def _apply_live_rows(tensor: np.ndarray, stretch: list[Gate]) -> None:
     """Apply a stretch of gates that are not fused, in place.
 
-    Every gate of the stretch acts within rows of 2^w consecutive
-    amplitudes, w its highest qubit plus one; where that spans the
-    register, w leaves out the Z gates, which keep every amplitude
-    nonzero or zero wherever they act. So the rows that hold a nonzero
-    amplitude stay the same through the stretch, and when some are all
-    zero, one ``any`` finds them: the gates below w go to a gathered copy
-    of those rows, which is then written back, and a Z that reaches w or
-    above goes to ``tensor`` in between. Otherwise, or when w still spans
-    the register, every gate goes to ``tensor`` itself. ``tensor`` is
-    C-contiguous, so its rows are a view.
+    The stretch's width w is its highest qubit, Z gates left out, plus
+    one. Every gate below w acts within rows of 2^w consecutive
+    amplitudes, and a Z keeps every amplitude nonzero or zero wherever it
+    acts. So the rows that hold a nonzero amplitude stay the same through
+    the stretch, and when some are all zero, one ``any`` finds them: the
+    gates below w go to a gathered copy of those rows, which is then
+    written back, and a Z that reaches w or above goes to ``tensor`` in
+    between. Otherwise, or when w spans the register, every gate goes to
+    ``tensor`` itself. ``tensor`` is C-contiguous, so its rows are a view.
     """
-    width = max(map(_MAX_QUBIT, stretch)) + 1
-    parts = [stretch]
-    if width == tensor.ndim:
-        width = max([gate.max_qubit for gate in stretch if gate.kind != "Z"], default=width - 1) + 1
-        parts = [list(part) for _, part in groupby(stretch, lambda gate: gate.max_qubit < width)]
+    width = max([gate.max_qubit for gate in stretch if gate.kind != "Z"], default=-1) + 1
     if width < tensor.ndim:
         rows = tensor.reshape(-1, 1 << width)
         live = np.flatnonzero(rows.any(axis=1))
         if len(live) < len(rows):
-            for part in parts:
-                if part[0].max_qubit >= width:  # Z gates alone
+            for inside, part in groupby(stretch, lambda gate: gate.max_qubit < width):
+                if not inside:  # Z gates alone
                     for gate in part:
                         _apply_gate_inplace(tensor, gate)
                     continue
                 block = rows[live].reshape((len(live),) + (2,) * width)
-                _apply_gates(block, part)
+                _apply_gates(block, list(part))
                 rows[live] = block.reshape(len(live), -1)
             return
     _apply_gates(tensor, stretch)

@@ -283,6 +283,37 @@ def test_fidelity_sweep_parallel_matches_serial(tmp_path):
     assert serial.records == parallel.records
 
 
+@pytest.mark.parametrize(
+    "jobs, cores, workers",
+    [(5000, 4, 4), (5000, 64, 6), (3, 64, 3), (5000, None, None), (1, 64, None)],
+)
+def test_sweep_starts_no_more_workers_than_trials_or_cores(monkeypatch, jobs, cores, workers):
+    # a forked pool starts all of its workers on the first task, so the
+    # worker count is bounded by the 6 trials and the cores; the fake pool
+    # maps in this process and starts nothing
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+    config = SweepConfig(qubit_sizes=(3,), fidelities=(0.7, 0.9), trials_per_point=3, seed=2)
+    result = fidelity_sweep(config, mode="fast", jobs=jobs)
+    assert started == ([] if workers is None else [workers])
+    assert result.records == fidelity_sweep(config, mode="fast").records
+
+
 def test_sweep_records_carry_the_degraded_flag(monkeypatch, tmp_path):
     # one shot per probe on a two-entry database often samples no entry at
     # any probed distance, so run_qsa falls back; the record and its

@@ -177,6 +177,17 @@ def _one_row_case(*gate_list):
 @example(_one_row_case(Gate("H", 0), Gate("RY", 1, ((0, 1),), 0.7)))
 @example(_one_row_case(Gate("H", 3), Gate("RX", 0, ((3, 0),), 1.1)))
 @example(_one_row_case(Gate("RZ", 2, (), 0.4), cnot(2, 3), Gate("H", 3)))
+# the width leaves Z gates out: the diffusion's shape, a Z controlled on
+# the top qubit between rotations on the live row; a Z below the width,
+# inside the block; Z gates alone; rotations that reach the top qubit
+@example(_one_row_case(
+    Gate("RY", 0, (), 0.3), Gate("RY", 1, ((0, 1),), 0.5),
+    Gate("Z", 0, ((3, 0), (2, 1))),
+    Gate("RY", 1, ((0, 1),), -0.5), Gate("RY", 0, (), -0.3),
+))
+@example(_one_row_case(Gate("H", 1), Gate("Z", 0, ((1, 1),)), Gate("RY", 0, ((2, 1),), 0.9)))
+@example(_one_row_case(Gate("Z", 2), Gate("Z", 0, ((1, 1),)), Gate("Z", 3, ((2, 1),))))
+@example(_one_row_case(Gate("RY", 3, (), 0.6), Gate("Z", 1, ((3, 1),)), Gate("H", 0)))
 def test_circuit_matches_mask_kernel_exactly(case):
     circuit, amps = case
     out = apply_circuit(Statevector(circuit.num_qubits, amps), circuit)

@@ -5,22 +5,22 @@ Usage, from the repository root:
     python3 tools/bench_record.py --base 813c5e6 --out BENCH_17.json
 
 Exports the ``--base`` revision and the working tree's tracked and
-unignored files into two temporary directories, and runs each one's own
-``bench/run.py`` there with ``--trace 0`` for BENCHMARK.json's
-``run_seconds``: every workload at seed 1, and ``align`` also at the
-held-out seed 7919. Each (workload, seed) runs ten pairs, one run per
-side, alternating which side goes first, so slow drift in the machine's
-speed falls on both; a claimed gain must win nine of them. The file
-records every run's end-to-end metrics and pass count, the core count and
-both sides' revisions, and per metric each side's median and quartiles
-and how many pairs the head won, and per side how many runs were not
-correct and how many operations failed in all. The benchmark keeps every
-pass's outcomes, so a faster side that fits more passes reads more
-memory. Per case the file therefore also fits ``peak_rss_mb`` against
-the pass count by least squares, with one slope (MB per pass) for both
-sides and an intercept for each, and records the slope, the base's
-intercept and the head's offset from it: the head's peak less the
-base's at an equal pass count.
+unignored files into two temporary directories, both through
+``git archive``, and runs each one's own ``bench/run.py`` there with
+``--trace 0`` for BENCHMARK.json's ``run_seconds``: every workload at
+seed 1, and ``align`` also at the held-out seed 7919. Each (workload,
+seed) runs ten pairs, one run per side, alternating which side goes
+first, so slow drift in the machine's speed falls on both; a claimed
+gain must win nine of them. The file records every run's end-to-end
+metrics and pass count, the core count and both sides' revisions, and
+per metric each side's median and quartiles and how many pairs the head
+won, and per side how many runs were not correct and how many operations
+failed in all. The benchmark keeps every pass's outcomes, so a faster
+side that fits more passes reads more memory. Per case the file
+therefore also fits ``peak_rss_mb`` against the pass count by least
+squares, with one slope (MB per pass) for both sides and an intercept
+for each, and records the slope, the base's intercept and the head's
+offset from it: the head's peak less the base's at an equal pass count.
 
 Each scaled metric is a raw reading times the gauge's scale factor, and
 the gauge can move it on paths no change touched. So next to
@@ -38,7 +38,6 @@ import hashlib
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -53,28 +52,34 @@ PAIRS = 10
 SCALED = {"small_scaled_ms": "small", "large_scaled_ms": "large", "setup_s": "setup"}
 
 
-def _git(*args: str) -> str:
+def _git(*args: str, **kwargs) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True, **kwargs
     ).stdout.strip()
 
 
 def _export(rev: str | None, into: Path) -> dict:
-    """Write ``rev``'s files, or the working tree's for ``None``, under ``into``."""
+    """Write ``rev``'s files, or the working tree's for ``None``, under ``into``.
+
+    The working tree goes through a tree object, written from a temporary
+    index that holds HEAD and then ``git add -A``: its tracked and
+    unignored files, as they are on disk. Both sides then leave through
+    the same ``git archive``.
+    """
     if rev is None:
-        listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
-        for name in filter(None, listed.split("\0")):
-            source = ROOT / name
-            if source.is_file():
-                (into / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(source, into / name)
+        with tempfile.TemporaryDirectory(prefix="bench_record_index_") as scratch:
+            env = dict(os.environ, GIT_INDEX_FILE=str(Path(scratch, "index")))
+            _git("read-tree", "HEAD", env=env)
+            _git("add", "-A", env=env)
+            tree = _git("write-tree", env=env)
         side = {"rev": "working tree", "based_on": _git("rev-parse", "HEAD")}
     else:
-        archive = subprocess.run(
-            ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+        tree = rev
         side = {"rev": rev, "commit": _git("rev-parse", f"{rev}^{{commit}}")}
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", tree], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     digest = hashlib.sha256()
     for path in sorted((into / "src").rglob("*.py")):
         digest.update(str(path.relative_to(into)).encode() + b"\0" + path.read_bytes())
