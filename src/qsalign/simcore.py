@@ -17,9 +17,8 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, groupby
-from math import cos, sin
+from math import cos, isfinite, sin
 from operator import attrgetter
 
 import numpy as np
@@ -55,18 +54,16 @@ class Gate:
     ``controls`` is a tuple of (qubit, polarity) pairs; the gate acts only
     on basis states where every control qubit matches its polarity. All
     kinds accept controls (rotations included, which the state-preparation
-    circuits rely on). ``angle`` is required for RX/RY/RZ and forbidden
-    otherwise.
+    circuits rely on). ``angle`` is required for RX/RY/RZ, where it must
+    be finite, and forbidden otherwise.
 
     Construction also fixes what applying the gate needs, none of it
-    compared: the 2x2 matrix on the target as 64 packed bytes, the highest
-    qubit touched (``max_qubit``), the index of the target's 0-half and
-    1-half in a (2,)*q tensor view of the amplitudes, and the packed
-    (target, max_qubit, control mask, control value) that
-    ``run_sequences`` and ``apply_circuit``'s run and level tests read. The
-    read-only ``matrix`` array is a view of those bytes, built on first
-    use and kept on the gate: ``run_sequences`` reads the bytes alone, so
-    a synthesis builds one only for the gates of the circuit it returns.
+    compared: the 2x2 matrix on the target as 64 packed bytes, which
+    every kernel reads, the highest qubit touched (``max_qubit``), the
+    index of the target's 0-half and 1-half in a (2,)*q tensor view of
+    the amplitudes, and the packed (target, max_qubit, control mask,
+    control value) that ``run_sequences`` and ``apply_circuit``'s run and
+    level tests read. ``matrix`` is a read-only (2, 2) view of the bytes.
     """
 
     kind: str
@@ -89,6 +86,8 @@ class Gate:
             if angle is None:
                 raise ValueError(f"{kind} requires an angle")
             angle = float(angle)
+            if not isfinite(angle):
+                raise ValueError(f"{kind} angle must be finite, got {angle!r}")
         elif angle is not None:
             raise ValueError(f"{kind} does not take an angle")
         touched = (target, *(q for q, _ in controls))
@@ -126,15 +125,10 @@ class Gate:
             _coefficients=_pack_coefficients(kind, angle),
         )
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        """The 2x2 complex128 matrix on the target, a read-only view of its bytes."""
+        """The 2x2 complex128 matrix on the target, a new read-only view of its bytes."""
         return np.ndarray((2, 2), np.complex128, self._coefficients)
-
-    def __reduce__(self):
-        # rebuild through the constructor, so copies and unpickled gates get
-        # the same coefficients and kernel index as the original
-        return Gate, (self.kind, self.target, self.controls, self.angle)
 
     def qubits(self) -> tuple[int, ...]:
         return (self.target, *(q for q, _ in self.controls))
@@ -144,8 +138,8 @@ class Gate:
 
         Equal in every field to ``Gate(kind, target, controls, angle)``,
         but reuses this gate's validated fields and kernel index and packs
-        only the new coefficients; it builds its own ``matrix`` on first
-        use, never sharing this gate's.
+        only the new coefficients. The angle is not checked: callers pass
+        finite angles.
         """
         if self.kind not in ROTATION_KINDS:
             raise ValueError(f"{self.kind} does not take an angle")
@@ -153,7 +147,6 @@ class Gate:
         gate = object.__new__(Gate)
         fields = vars(gate)
         fields.update(vars(self))
-        fields.pop("matrix", None)
         fields["angle"] = angle
         fields["_coefficients"] = _pack_coefficients(self.kind, angle)
         return gate
@@ -315,11 +308,11 @@ def _apply_gate_inplace(tensor: np.ndarray, gate: Gate) -> None:
         tensor[half1] = a
         return
     b = tensor[half1]
-    u = gate.matrix
-    # 0-d views of the entries: numpy multiplies by these without the
-    # per-call conversion that a Python or numpy scalar costs
-    tensor[half0] = u[0, 0, ...] * a + u[0, 1, ...] * b
-    tensor[half1] = u[1, 0, ...] * a + u[1, 1, ...] * b
+    u = np.frombuffer(gate._coefficients, np.complex128)
+    # 0-d views of the row-major entries: numpy multiplies by these without
+    # the per-call conversion that a Python or numpy scalar costs
+    tensor[half0] = u[0, ...] * a + u[1, ...] * b
+    tensor[half1] = u[2, ...] * a + u[3, ...] * b
 
 
 # a run's key names the gates that move amplitudes (x) and those that negate
@@ -513,11 +506,12 @@ def _apply_live_rows(tensor: np.ndarray, stretch: list[Gate]) -> None:
     the stretch, and when some are all zero, one ``any`` finds them: the
     gates below w go to a gathered copy of those rows, which is then
     written back, and a Z that reaches w or above goes to ``tensor`` in
-    between. Otherwise, or when w spans the register, every gate goes to
-    ``tensor`` itself. ``tensor`` is C-contiguous, so its rows are a view.
+    between. Otherwise, or when w spans the register or is 0 (Z gates
+    alone), every gate goes to ``tensor`` itself, with no scan.
+    ``tensor`` is C-contiguous, so its rows are a view.
     """
     width = max([gate.max_qubit for gate in stretch if gate.kind != "Z"], default=-1) + 1
-    if width < tensor.ndim:
+    if 0 < width < tensor.ndim:
         rows = tensor.reshape(-1, 1 << width)
         live = np.flatnonzero(rows.any(axis=1))
         if len(live) < len(rows):

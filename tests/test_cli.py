@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, stdout contracts."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,3 +372,19 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out.startswith("FAIL popcount")
+
+
+def test_the_command_line_imports_no_test_extra():
+    # pyproject.toml declares numpy alone; scipy, hypothesis and pytest
+    # are test extras, so importing the command line, which imports every
+    # module of the package, must load none of them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import json, sys, qsalign.cli; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    top = {name.partition(".")[0] for name in json.loads(done.stdout)}
+    assert "numpy" in top and "qsalign" in top
+    assert not top & {"scipy", "hypothesis", "pytest", "_pytest"}

@@ -198,6 +198,27 @@ def test_circuit_matches_mask_kernel_exactly(case):
     assert np.array_equal(probabilities.view(np.uint64), (np.abs(expected) ** 2).view(np.uint64))
 
 
+def test_a_stretch_of_z_gates_alone_goes_to_the_whole_register_unscanned(monkeypatch):
+    # its width is 0, so no row scan could gather less than the register:
+    # the stretch is one _apply_gates call on the whole tensor, in place
+    seen = []
+    apply_gates = simcore._apply_gates
+
+    def spy(tensor, gates):
+        seen.append((tensor, gates))
+        apply_gates(tensor, gates)
+
+    monkeypatch.setattr(simcore, "_apply_gates", spy)
+    stretch = (Gate("Z", 3, ((0, 1),)), Gate("Z", 1))
+    # a basis state: every row but one holds zeros
+    amps = np.zeros(16, dtype=np.complex128)
+    amps[0b1001] = 1.0
+    out = apply_circuit(Statevector(4, amps), Circuit(4, stretch))
+    assert [(tensor.shape, gates) for tensor, gates in seen] == [((2,) * 4, list(stretch))]
+    assert np.shares_memory(seen[0][0], out.amplitudes)
+    assert out.amplitudes[0b1001] == -1.0
+
+
 @settings(max_examples=300, deadline=None)
 @given(circuits(), st.integers(0, 2**32 - 1))
 def test_single_gates_match_mask_kernel_exactly(circuit, seed):

@@ -44,6 +44,8 @@ def test_gate_validation():
         Gate("CNOT", 1, ((0, 1),))  # a controlled X is kind X
     with pytest.raises(ValueError):
         Gate("X", 0, controls=((0, 1),))  # control overlaps target
+    with pytest.raises(ValueError, match="RY angle must be finite, got nan"):
+        Gate("RY", 0, (), float("nan"))
 
 
 def test_gate_matrix_fixed_at_construction():
@@ -301,9 +303,13 @@ def test_serialize_writes_each_gate_its_own_kind_and_one_target():
         ("X target=0\n", "header"),
         (f"qubits={2**70}\nX target={2**70 - 1}\n", "line 1 .*at most 63 qubits"),
         (f"qubits={10**8}\nX target={10**8 - 1}\n", "line 1 .*at most 63 qubits"),
+        ("qubits=1\nRY target=0 angle=nan\n", "line 2 .*angle must be finite, got nan"),
+        ("qubits=1\nRX target=0 angle=inf\n", "line 2 .*angle must be finite, got inf"),
+        ("qubits=1\nRZ target=0 angle=1e400\n", "line 2 .*angle must be finite, got inf"),
     ],
     ids=["cnot", "mcx", "mcz", "target_list", "unknown_field", "no_target", "out_of_range",
-         "bad_header", "no_header", "header_past_an_index", "header_past_a_control_mask"],
+         "bad_header", "no_header", "header_past_an_index", "header_past_a_control_mask",
+         "nan", "inf", "1e400"],
 )
 def test_parse_refuses_text_the_writer_never_writes(text, match):
     with pytest.raises(ValueError, match=match):
