@@ -15,7 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import Circuit, Gate, Statevector, cnot, fidelity, run_circuit, run_sequences
+from .simcore import (
+    KIND_AT,
+    RECORD_KINDS,
+    Circuit,
+    Gate,
+    Statevector,
+    cnot,
+    fidelity,
+    gate_record,
+    reangle_record,
+    record_angle,
+    record_gate,
+    run_circuit,
+    run_sequences,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -25,25 +39,32 @@ logger = logging.getLogger(__name__)
 MAX_QUBITS = 8
 
 _ROTATIONS = ("RX", "RY", "RZ")
-# every gene a synthesis draws comes from these tables, built once: a
-# rotation is its template re-angled by Gate.with_angle, which skips the
-# constructor's validation, and a CNOT is immutable, so genomes share it
+# a gene is its gate's record (simcore.gate_record), which the batched scorer
+# reads as it is. Every gene a synthesis draws comes from these tables,
+# built once: a rotation is its template's record re-angled, which packs
+# 112 bytes and builds no Gate, and a record is immutable, so genomes share
+# each CNOT's
 _ROTATION_TEMPLATES = {
-    (kind, q): Gate(kind, q, (), 0.0) for kind in _ROTATIONS for q in range(MAX_QUBITS)
+    (kind, q): gate_record(Gate(kind, q, (), 0.0)) for kind in _ROTATIONS for q in range(MAX_QUBITS)
 }
-_CNOTS = {(c, t): cnot(c, t) for c in range(MAX_QUBITS) for t in range(MAX_QUBITS) if c != t}
+_CNOTS = {
+    (c, t): gate_record(cnot(c, t)) for c in range(MAX_QUBITS) for t in range(MAX_QUBITS) if c != t
+}
+# a rotation gene's kind byte (simcore.KIND_AT); a CNOT gene's is X's
+_ROTATION_CODES = frozenset(RECORD_KINDS.index(kind) for kind in _ROTATIONS)
 
 
 @dataclass
 class Genome:
     """A gate list under evolution.
 
-    genes: the circuit's gates in order, single-qubit rotations and CNOTs.
-    Gates are immutable, so children share their parents' gates and a
-    mutation replaces a gene with a new gate rather than editing it.
+    genes: the records (simcore.gate_record) of the circuit's gates in
+    order, single-qubit rotations and CNOTs. Records are immutable bytes,
+    so children share their parents' genes and a mutation replaces a gene
+    with a new record rather than editing it.
     """
 
-    genes: list[Gate]
+    genes: list[bytes]
     fitness: float | None = None
 
 
@@ -94,7 +115,8 @@ class GaspResult:
 
 
 def genome_circuit(genome: Genome, num_qubits: int) -> Circuit:
-    return Circuit(num_qubits, tuple(genome.genes))
+    """The genome's gates as a circuit, each gene read back to its Gate."""
+    return Circuit(num_qubits, tuple(map(record_gate, genome.genes)))
 
 
 def _coin_bound(p: float) -> int:
@@ -113,11 +135,11 @@ def _random_angle(rng: np.random.Generator) -> float:
     return 0.0 + 2 * math.pi * rng.random()
 
 
-def _random_rotation(rng: np.random.Generator, kind: str, qubit: int) -> Gate:
-    return _ROTATION_TEMPLATES[kind, qubit].with_angle(_random_angle(rng))
+def _random_rotation(rng: np.random.Generator, kind: str, qubit: int) -> bytes:
+    return reangle_record(_ROTATION_TEMPLATES[kind, qubit], _random_angle(rng))
 
 
-def _random_gene(rng: np.random.Generator, num_qubits: int) -> Gate:
+def _random_gene(rng: np.random.Generator, num_qubits: int) -> bytes:
     # "CNOT" names a draw here, not a gate kind: it yields a one-control X
     kinds = _ROTATIONS + (("CNOT",) if num_qubits >= 2 else ())
     kind = kinds[rng.integers(len(kinds))]
@@ -133,7 +155,7 @@ def _random_gene(rng: np.random.Generator, num_qubits: int) -> Gate:
 def _layered_genome(rng: np.random.Generator, num_qubits: int) -> Genome:
     # rotation layer + CNOT chain, repeated: a generic preparation skeleton
     # whose angles the search then has to discover
-    genes: list[Gate] = []
+    genes: list[bytes] = []
     for _ in range(int(rng.integers(1, 4))):
         for q in range(num_qubits):
             genes.append(_random_rotation(rng, "RY", q))
@@ -153,9 +175,10 @@ def _random_genome(rng: np.random.Generator, num_qubits: int) -> Genome:
 def _score(genomes: list[Genome], target: Statevector) -> None:
     """Set each genome's fitness, its output's fidelity to the target.
 
-    One batched simulation covers every genome; each row's fitness is
-    ``fidelity``'s own expression, |<row|target>|^2 clipped to 1, so it
-    equals ``fidelity`` of ``run_circuit``'s output.
+    One batched simulation covers every genome, reading its gene records
+    as they are; each row's fitness is ``fidelity``'s own expression,
+    |<row|target>|^2 clipped to 1, so it equals ``fidelity`` of
+    ``run_circuit``'s output.
     """
     psi = target.amplitudes
     for genome, row in zip(genomes, run_sequences(target.num_qubits, [g.genes for g in genomes])):
@@ -195,12 +218,12 @@ def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int):
     # only rotations carry an angle. A polish step 0.0 + 0.1 * normal() is
     # exactly rng.normal(0.0, 0.1), which computes loc + scale * normal()
     for i, gene in enumerate(genes):
-        if gene.angle is not None and raw() >> 11 < bound:
-            genes[i] = gene.with_angle(gene.angle + (0.0 + 0.1 * normal()))
+        if gene[KIND_AT] in _ROTATION_CODES and raw() >> 11 < bound:
+            genes[i] = reangle_record(gene, record_angle(gene) + (0.0 + 0.1 * normal()))
     if genes and raw() >> 11 < bound:
         i = int(rng.integers(len(genes)))
-        if genes[i].kind in _ROTATIONS:
-            genes[i] = genes[i].with_angle(_random_angle(rng))
+        if genes[i][KIND_AT] in _ROTATION_CODES:
+            genes[i] = reangle_record(genes[i], _random_angle(rng))
     if genes and raw() >> 11 < bound:
         genes[int(rng.integers(len(genes)))] = _random_gene(rng, num_qubits)
     if len(genes) < _MAX_GENES and raw() >> 11 < bound:
@@ -209,12 +232,12 @@ def _mutate(rng: np.random.Generator, genome: Genome, num_qubits: int):
         # mutations can pull apart
         position = int(rng.integers(len(genes) + 1))
         gene = _random_gene(rng, num_qubits)
-        if gene.controls:  # only a CNOT gene has controls
+        if gene[KIND_AT] not in _ROTATION_CODES:  # a CNOT
             if len(genes) + 2 <= _MAX_GENES:
                 genes.insert(position, gene)
                 genes.insert(position, gene)
         else:
-            genes.insert(position, gene.with_angle(0.0 + 0.1 * normal()))
+            genes.insert(position, reangle_record(gene, 0.0 + 0.1 * normal()))
     if genes and raw() >> 11 < bound:
         del genes[int(rng.integers(len(genes)))]
 
@@ -247,8 +270,8 @@ def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResu
     target was not reached within max_generations.
     """
     n = target.num_qubits
-    if n > MAX_QUBITS:
-        raise ValueError(f"synthesis supported up to {MAX_QUBITS} qubits")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"synthesis takes 1 to {MAX_QUBITS} qubits, got a {n}-qubit target")
     if abs(target.norm() - 1.0) > 1e-8:
         raise ValueError("target state must be normalized")
     rng = np.random.default_rng(config.rng_seed)

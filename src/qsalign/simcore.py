@@ -17,7 +17,7 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import groupby
 from math import cos, isfinite, sin
 from operator import attrgetter
 
@@ -610,76 +610,148 @@ def run_circuit(circuit: Circuit) -> Statevector:
     return apply_circuit(basis_state(circuit.num_qubits, index), rest)
 
 
-def run_sequences(num_qubits: int, sequences) -> np.ndarray:
-    """Apply each of P gate sequences to |0...0>, all in one lockstep pass.
+# a gate as run_sequences reads it: a 112-byte record holding the gate's 32
+# _select bytes and 64 _coefficients bytes, its angle (0.0 for a kind
+# without one), its kind's place in RECORD_KINDS as the byte at KIND_AT,
+# and 7 bytes of padding
+RECORD_KINDS = ("X", "Z", "H", "RX", "RY", "RZ")
+KIND_AT = 104
+_KIND_CODES = {kind: code for code, kind in enumerate(RECORD_KINDS)}
+_TAIL = struct.Struct("dB7x")
+_RECORD = np.dtype(
+    {
+        "names": ["select", "coefficients"],
+        "formats": [(np.int64, 4), (np.complex128, 4)],
+        "offsets": [0, 32],
+        "itemsize": 112,
+    }
+)
 
-    Returns a (P, 2^num_qubits) array whose row i equals, element for
-    element, ``run_circuit`` on sequence i; only a zero's sign can differ,
-    since X and Z gates go through their matrices here rather than
-    a swap or a negation. Step j applies every row's
-    j-th gate at once: each row gathers the 0-half ``a`` and 1-half ``b``
-    of its target's pairs and takes ``u00*a + u01*b`` and ``u10*a + u11*b``,
-    the single-state kernel's elementwise arithmetic, with the row's
-    matrix entries broadcast over its pairs. Pairs that fail the row's
-    controls, and rows whose sequence has ended, keep their amplitudes.
-    For many short sequences on a narrow register this replaces per-gate
-    numpy calls on a handful of amplitudes with a few calls per step.
+
+def gate_record(gate: Gate) -> bytes:
+    """The gate's record, which ``record_gate`` reads back to an equal gate."""
+    if gate.max_qubit >= 63:
+        raise ValueError("a record holds gates below qubit 63")
+    angle = 0.0 if gate.angle is None else gate.angle
+    return gate._select + gate._coefficients + _TAIL.pack(angle, _KIND_CODES[gate.kind])
+
+
+def record_gate(record: bytes) -> Gate:
+    """The gate a record holds, its controls in ascending qubit order."""
+    target, top, mask, value = _UNPACK_SELECT(record[:32])
+    angle, code = _TAIL.unpack_from(record, 96)
+    kind = RECORD_KINDS[code]
+    controls = tuple((q, value >> q & 1) for q in range(top + 1) if mask >> q & 1)
+    return Gate(kind, target, controls, angle if kind in ROTATION_KINDS else None)
+
+
+def record_angle(record: bytes) -> float:
+    """The angle a record holds: a rotation's own, 0.0 for the other kinds."""
+    return _TAIL.unpack_from(record, 96)[0]
+
+
+def reangle_record(record: bytes, angle: float) -> bytes:
+    """A rotation's record at another angle, as ``gate_record`` packs ``with_angle``'s gate.
+
+    Unchecked, like ``Gate.with_angle``: the record holds a rotation and
+    the angle is finite.
+    """
+    code = record[KIND_AT]
+    return record[:32] + _pack_coefficients(RECORD_KINDS[code], angle) + _TAIL.pack(angle, code)
+
+
+# the working bytes run_sequences may hold for one block of rows, at about
+# 16 * 2^n + 256 bytes per gate: a step's index pairs, the controls test
+# and the record; the (P, 2^n) output comes on top
+_BLOCK_BYTES = 1 << 25
+
+
+def run_sequences(num_qubits: int, sequences) -> np.ndarray:
+    """Apply each of P gate sequences, given as records, to |0...0> in lockstep.
+
+    sequences[i] lists the records (``gate_record``) of one sequence's
+    gates. Returns a (P, 2^num_qubits) array whose row i equals, element
+    for element, ``run_circuit`` on sequence i's gates; only a zero's sign
+    can differ, since X and Z gates go through their matrices here rather
+    than a swap or a negation.
+
+    Step j applies the j-th gate of every row whose sequence is still
+    running: each row gathers the 0-half ``a`` and 1-half ``b`` of its
+    target's pairs and takes ``u00*a + u01*b`` and ``u10*a + u11*b``, the
+    single-state kernel's elementwise arithmetic, with the row's matrix
+    entries broadcast over its pairs. A pair that fails its gate's
+    controls points at one scratch amplitude past the last row instead,
+    which the step reads and overwrites to no effect, so the pair keeps
+    its amplitudes. Rows go in blocks of consecutive rows whose gates'
+    index arrays fit in _BLOCK_BYTES, so the working memory stays bounded
+    however many rows there are; rows are independent, so blocking does
+    not change them.
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
     dim = 1 << num_qubits
     count = len(sequences)
-    states = np.zeros((count, dim), dtype=np.complex128)
-    states[:, 0] = 1.0
     lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
-    depth = int(lengths.max(initial=0))
-    if depth == 0:
-        return states
-    flat = list(chain.from_iterable(sequences))
-
-    selects = np.frombuffer(b"".join([gate._select for gate in flat]), np.int64)
-    target, top, mask, value = selects.reshape(-1, 4).T
-    if top.max() >= num_qubits:
-        _raise_out_of_range(next(g for g in flat if g.max_qubit >= num_qubits), num_qubits)
+    amps = np.zeros(count * dim + 1, dtype=np.complex128)
+    amps[: count * dim : dim] = 1.0
 
     # pairs[t, h]: the basis indices whose bit t is h, ascending
     half = np.arange(dim >> 1)
     zero = np.array([(half >> t << (t + 1)) | (half & ((1 << t) - 1)) for t in range(num_qubits)])
     pairs = np.stack([zero, zero | (1 << np.arange(num_qubits))[:, None]], axis=1)
 
-    # the grids are step-major, so that step j reads the contiguous block
-    # [j]: the gate at step j of row p lands in slot j * P + p, and
-    # np.nonzero lists the live (row, step) cells in the flattened
-    # sequences' order. The padding after a sequence ends meets no pair,
-    # so its row keeps its amplitudes
-    rows, steps = np.nonzero(np.arange(depth) < lengths[:, None])
-    slots = steps * count + rows
-    target_grid = np.zeros(depth * count, dtype=np.intp)
-    target_grid[slots] = target
-    met = np.zeros((depth * count, dim >> 1), dtype=bool)
-    met[slots] = (zero[target] & mask[:, None]) == value[:, None]
-    coef = np.zeros((depth * count, 2, 2), dtype=np.complex128)
-    # every gate's coefficients are its 2x2 complex128 matrix as 64 packed
-    # bytes, so one join holds every matrix in order
-    coef[slots] = np.frombuffer(
-        b"".join([gate._coefficients for gate in flat]), np.complex128
-    ).reshape(-1, 2, 2)
+    # each block is as many rows as fit the budget, and one row at least
+    ends = np.cumsum(lengths)
+    per_block = _BLOCK_BYTES // (16 * dim + 256)
+    start = 0
+    while start < count:
+        fit = np.searchsorted(ends, ends[start] - lengths[start] + per_block, "right")
+        stop = max(start + 1, int(fit))
+        _run_block(amps, sequences[start:stop], lengths[start:stop], start, zero, pairs)
+        start = stop
+    return amps[:-1].reshape(count, dim)
 
-    # index[j, p, h] holds row p's basis indices with its target bit equal
-    # to h at step j; first[j] and second[j] are column 0 and column 1 of
-    # every row's matrix, shaped (P, 2, 1); met[j] is (P, 1, 2^(n-1))
-    index = pairs[target_grid.reshape(depth, count)]
-    index += (np.arange(count) * dim)[:, None, None]
-    coef = coef.reshape(depth, count, 2, 2)
+
+def _run_block(amps, sequences, lengths, first_row, zero, pairs) -> None:
+    """``run_sequences`` on one block of rows, the first of them row first_row.
+
+    amps holds every row's amplitudes, then the scratch amplitude; zero
+    and pairs are ``run_sequences``' index tables.
+    """
+    depth = int(lengths.max(initial=0))
+    if depth == 0:
+        return
+    num_qubits = len(zero)
+    dim = 1 << num_qubits
+    records = np.frombuffer(b"".join(map(b"".join, sequences)), _RECORD)
+    target, top, mask, value = records["select"].T
+    if top.max() >= num_qubits:
+        bad = records[np.argmax(top >= num_qubits)].tobytes()
+        _raise_out_of_range(record_gate(bad), num_qubits)
+
+    # the (step, row) cells that hold a gate, step-major: np.nonzero lists
+    # step j's running rows as one stretch, cells bounds[j] to bounds[j + 1]
+    steps, rows = np.nonzero(np.arange(depth)[:, None] < lengths)
+    bounds = np.searchsorted(steps, np.arange(depth + 1)).tolist()
+    gate = (np.cumsum(lengths) - lengths)[rows] + steps
+    target, mask, value = target[gate], mask[gate], value[gate]
+    # index[c, h]: the amplitudes whose target bit is h that cell c's gate
+    # pairs up, ascending
+    index = pairs[target]
+    index += ((rows + first_row) * dim)[:, None, None]
+    controlled = np.flatnonzero(mask)
+    failed, column = np.nonzero(
+        (zero[target[controlled]] & mask[controlled, None]) != value[controlled, None]
+    )
+    index[controlled[failed], :, column] = len(amps) - 1
+    # column 0 and column 1 of each gate's matrix, shaped (cells, 2, 1)
+    coef = records["coefficients"][gate].reshape(-1, 2, 2)
     first, second = coef[..., :1], coef[..., 1:]
-    met = met.reshape(depth, count, 1, dim >> 1)
-
-    amps = states.reshape(-1)
     for j in range(depth):
-        pair = amps[index[j]]
-        new = first[j] * pair[:, :1] + second[j] * pair[:, 1:]
-        amps[index[j]] = np.where(met[j], new, pair)
-    return states
+        s, e = bounds[j], bounds[j + 1]
+        step = index[s:e]
+        pair = amps[step]
+        amps[step] = first[s:e] * pair[:, :1] + second[s:e] * pair[:, 1:]
 
 
 def sample_counts(state: Statevector, shots: int, rng_seed: int) -> dict[int, int]:

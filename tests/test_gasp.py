@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import ks_2samp
 
-from qsalign import gasp
+from qsalign import gasp, simcore
 from qsalign.gasp import (
     GaConfig,
     Genome,
@@ -19,7 +19,17 @@ from qsalign.gasp import (
 )
 from qsalign.experiments import random_database
 from qsalign.registers import database_state
-from qsalign.simcore import Statevector, basis_state, cnot, fidelity, run_circuit, ry, rz
+from qsalign.simcore import (
+    Gate,
+    Statevector,
+    basis_state,
+    cnot,
+    fidelity,
+    gate_record,
+    run_circuit,
+    ry,
+    rz,
+)
 
 
 def test_config_validation():
@@ -44,13 +54,49 @@ def test_config_refuses_a_negative_seed():
 
 
 def test_genome_circuit_mapping():
-    genes = [ry(0, 0.5), cnot(0, 1), rz(1, 1.25)]
-    circuit = genome_circuit(Genome(genes), 2)
+    gates = [ry(0, 0.5), cnot(0, 1), rz(1, 1.25)]
+    genome = Genome([gate_record(g) for g in gates])
+    circuit = genome_circuit(genome, 2)
     assert circuit.num_qubits == 2
-    assert circuit.gates == tuple(genes)
-    assert all(built is gene for built, gene in zip(circuit.gates, genes))
+    assert circuit.gates == tuple(gates)
+    # each gene's matrix bytes are the ones the batched scorer read
+    assert [g._coefficients for g in circuit.gates] == [r[32:96] for r in genome.genes]
     with pytest.raises(ValueError):
-        genome_circuit(Genome(genes), 1)
+        genome_circuit(genome, 1)
+
+
+def test_evolution_builds_no_gate_but_the_returned_circuits(monkeypatch):
+    # genes are records: breeding and scoring a generation build no Gate,
+    # and only genome_circuit reads the archived best back, one Gate per gene
+    built, reangled = [], []
+    post_init, with_angle = Gate.__post_init__, Gate.with_angle
+
+    def counted_post_init(gate):
+        built.append(gate.kind)
+        post_init(gate)
+
+    def counted_with_angle(gate, angle):
+        reangled.append(gate.kind)
+        return with_angle(gate, angle)
+
+    monkeypatch.setattr(Gate, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Gate, "with_angle", counted_with_angle)
+    target = database_state(random_database(4, "floor", 0))
+    result = gasp_prepare(target, GaConfig(rng_seed=0))
+    assert result.generations == 44
+    assert built == [g.kind for g in result.circuit.gates]
+    assert reangled == []
+
+
+def test_scoring_in_blocks_repeats_the_unblocked_synthesis(monkeypatch):
+    # a budget of a few genes splits every generation into many blocks;
+    # rows are independent, so the synthesis comes out the same to the bit
+    target = database_state(random_database(3, "floor", 0))
+    whole = gasp_prepare(target, GaConfig(rng_seed=0))
+    monkeypatch.setattr(simcore, "_BLOCK_BYTES", 50 * (16 * 8 + 256))
+    blocked = gasp_prepare(target, GaConfig(rng_seed=0))
+    assert (blocked.fidelity, blocked.generations) == (whole.fidelity, whole.generations)
+    assert blocked.circuit == whole.circuit
 
 
 def test_gasp_trajectory_pinned():
@@ -161,8 +207,11 @@ def test_gasp_bell_state():
 def test_gasp_validation():
     with pytest.raises(ValueError):
         gasp_prepare(Statevector(2, np.array([1, 1, 0, 0], dtype=complex)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a 9-qubit target"):
         gasp_prepare(basis_state(9, 0))
+    # a 0-qubit target is refused before any draw, not inside numpy
+    with pytest.raises(ValueError, match="1 to 8 qubits, got a 0-qubit target"):
+        gasp_prepare(basis_state(0, 0))
 
 
 def test_perturbation_spec_validation():

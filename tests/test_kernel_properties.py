@@ -7,6 +7,7 @@ must repeat the view kernel's, so results are compared with
 ``np.array_equal`` and no tolerance.
 """
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import cos, pi, sin
 
@@ -31,14 +32,20 @@ from qsalign.registers import (
 )
 from qsalign.simcore import (
     GATE_KINDS,
+    KIND_AT,
+    RECORD_KINDS,
     ROTATION_KINDS,
     Circuit,
     Gate,
     Statevector,
     apply_circuit,
     cnot,
+    gate_record,
     invert,
     parse_circuit,
+    reangle_record,
+    record_angle,
+    record_gate,
     run_circuit,
     run_sequences,
     sample_counts,
@@ -47,6 +54,11 @@ from qsalign.simcore import (
 )
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
+
+# hypothesis runs each example inside one test call, so a spy or a setting
+# is patched per example through monkeypatch.context() rather than by a
+# fixture
+_PER_EXAMPLE_PATCH = [HealthCheck.function_scoped_fixture]
 
 
 def _reference_rotation(kind, angle):
@@ -260,27 +272,83 @@ def test_circuit_text_roundtrip_is_exact(circuit):
 
 
 def _check_batch(num_qubits, sequences):
-    states = run_sequences(num_qubits, sequences)
+    """run_sequences on the sequences' records: each row is run_circuit's state."""
+    states = run_sequences(num_qubits, [[gate_record(g) for g in seq] for seq in sequences])
     assert states.shape == (len(sequences), 1 << num_qubits)
     for row, sequence in zip(states, sequences):
         expected = run_circuit(Circuit(num_qubits, tuple(sequence))).amplitudes
         assert np.array_equal(row, expected)
+    return states
 
 
-# the width is parametrised: drawn from 1..6 under the derandomised
+# the width is parametrised: drawn from 1..8 under the derandomised
 # profile, widths come up very unevenly
-@pytest.mark.parametrize("num_qubits", range(1, 7))
+@pytest.mark.parametrize("num_qubits", range(1, 9))
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_batched_runner_matches_run_circuit_exactly(num_qubits, data):
+    # every kind, controls at both polarities, empty sequences among them
     sequence = st.lists(gates(num_qubits), max_size=20)
     _check_batch(num_qubits, data.draw(st.lists(sequence, min_size=1, max_size=8)))
 
 
+def _random_sequences(num_qubits, lengths, seed):
+    """Sequences of the given lengths: every kind, with 0 to q - 1 controls
+    at drawn polarities, and CNOTs, whose control may sit above or below
+    their target."""
+    rng = np.random.default_rng(seed)
+
+    def gate():
+        order = [int(q) for q in rng.permutation(num_qubits)]
+        if num_qubits >= 2 and rng.random() < 0.25:
+            return cnot(order[1], order[0])
+        kind = sorted(GATE_KINDS)[rng.integers(len(GATE_KINDS))]
+        count = int(rng.integers(num_qubits))
+        controls = tuple((q, int(rng.integers(2))) for q in order[1 : 1 + count])
+        angle = float(rng.uniform(-4 * pi, 4 * pi)) if kind in ROTATION_KINDS else None
+        return Gate(kind, order[0], controls, angle)
+
+    return [[gate() for _ in range(length)] for length in lengths]
+
+
+@settings(max_examples=24, deadline=None, suppress_health_check=_PER_EXAMPLE_PATCH)
+@given(st.integers(1, 8), st.permutations(range(65)), st.integers(0, 2**32 - 1),
+       st.integers(1, 80))
+def test_batched_runner_runs_rows_of_every_length_in_blocks(monkeypatch, num_qubits, lengths,
+                                                           seed, per_block):
+    # rows of every length from 0 to 64 in one batch, so that rows end at
+    # every step; the batch runs unblocked, then in blocks of about
+    # per_block gates (one row at least), and every row stays run_circuit's
+    sequences = _random_sequences(num_qubits, lengths, seed)
+    whole = _check_batch(num_qubits, sequences)
+    with monkeypatch.context() as patch:
+        patch.setattr(simcore, "_BLOCK_BYTES", per_block * (16 * (1 << num_qubits) + 256))
+        records = [[gate_record(g) for g in seq] for seq in sequences]
+        assert np.array_equal(run_sequences(num_qubits, records), whole)
+
+
+def test_batched_runner_memory_stays_under_its_block_budget(monkeypatch):
+    # at 8 qubits an unblocked batch of 1600 rows of 34 gates held about
+    # 0.17 MB of index arrays per row; in blocks, what the runner holds
+    # beyond its (rows, 256) output stays near the budget at any row count
+    budget = 4 << 20
+    monkeypatch.setattr(simcore, "_BLOCK_BYTES", budget)
+    sequences = _random_sequences(8, [34] * 1600, 3)
+    for count in (400, 1600):
+        records = [[gate_record(g) for g in seq] for seq in sequences[:count]]
+        tracemalloc.start()
+        try:
+            run_sequences(8, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - count * 256 * 16 < 1.25 * budget
+
+
 def test_batched_runner_matches_run_circuit_on_a_ga_shaped_batch():
     # what the synthesis scores each generation: about a hundred ragged
-    # rotation/CNOT gene lists of up to 64 genes, children sharing gate
-    # objects with their parents and carrying re-angled rotations
+    # rotation/CNOT gene lists of up to 64 genes, children sharing records
+    # with their parents and carrying re-angled rotations
     rng = np.random.default_rng(9)
     num_qubits = 4
 
@@ -288,13 +356,13 @@ def test_batched_runner_matches_run_circuit_on_a_ga_shaped_batch():
         kind = ("RX", "RY", "RZ", "CNOT")[rng.integers(4)]
         target, control = (int(q) for q in rng.permutation(num_qubits)[:2])
         if kind == "CNOT":
-            return cnot(control, target)
-        return Gate(kind, target, (), rng.uniform(0, 2 * pi))
+            return gate_record(cnot(control, target))
+        return gate_record(Gate(kind, target, (), rng.uniform(0, 2 * pi)))
 
-    def polish(g):
-        if g.angle is not None and rng.random() < 0.2:
-            return g.with_angle(g.angle + rng.normal(0, 0.1))
-        return g
+    def polish(record):
+        if record[KIND_AT] >= RECORD_KINDS.index("RX") and rng.random() < 0.2:
+            return reangle_record(record, record_angle(record) + rng.normal(0, 0.1))
+        return record
 
     parents = [[], [gene() for _ in range(64)]]
     parents += [[gene() for _ in range(rng.integers(1, 65))] for _ in range(48)]
@@ -302,8 +370,31 @@ def test_batched_runner_matches_run_circuit_on_a_ga_shaped_batch():
     for _ in range(50):
         a, b = (parents[i] for i in rng.integers(len(parents), size=2))
         child = (a[: rng.integers(len(a) + 1)] + b[rng.integers(len(b) + 1) :])[:64]
-        children.append([polish(g) for g in child])
-    _check_batch(num_qubits, parents + children)
+        children.append([polish(r) for r in child])
+    _check_batch(num_qubits, [[record_gate(r) for r in seq] for seq in parents + children])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(gates), _ANGLES)
+def test_a_record_reads_back_to_its_gate(gate, angle):
+    record = gate_record(gate)
+    assert len(record) == 112
+    assert record[:32] == gate._select and record[32:96] == gate._coefficients
+    assert RECORD_KINDS[record[KIND_AT]] == gate.kind
+    back = record_gate(record)
+    assert back == Gate(gate.kind, gate.target, tuple(sorted(gate.controls)), gate.angle)
+    assert gate_record(back) == record
+    if gate.kind in ROTATION_KINDS:
+        assert record_angle(record) == gate.angle
+        assert reangle_record(record, float(angle)) == gate_record(gate.with_angle(angle))
+    else:
+        assert record_angle(record) == 0.0
+
+
+def test_a_record_holds_gates_below_qubit_63():
+    gate_record(x(62, ((0, 1),)))
+    with pytest.raises(ValueError, match="below qubit 63"):
+        gate_record(x(0, ((63, 1),)))
 
 
 @pytest.mark.parametrize("kind", sorted(ROTATION_KINDS))
@@ -677,11 +768,6 @@ def _basis(num_qubits, index=0):
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return amps
-
-
-# hypothesis runs each example inside one test call, so the spy is patched
-# per example through monkeypatch.context() rather than by a fixture
-_PER_EXAMPLE_PATCH = [HealthCheck.function_scoped_fixture]
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=_PER_EXAMPLE_PATCH)

@@ -18,6 +18,7 @@ from qsalign.simcore import (
     cnot,
     concat,
     fidelity,
+    gate_record,
     h,
     invert,
     parse_circuit,
@@ -171,7 +172,7 @@ def test_run_sequences_range_check_matches_circuit():
         with pytest.raises(ValueError) as by_circuit:
             Circuit(2, (h(0), gate))
         with pytest.raises(ValueError) as by_batch:
-            run_sequences(2, [[h(0)], [h(1), gate]])
+            run_sequences(2, [[gate_record(h(0))], [gate_record(h(1)), gate_record(gate)]])
         assert str(by_batch.value) == str(by_circuit.value)
     empty = run_sequences(2, [[], []])
     assert np.array_equal(empty, [[1, 0, 0, 0], [1, 0, 0, 0]])
