@@ -248,6 +248,14 @@ def _cmd_gasp(args) -> int:
         )
     except (OSError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
+    # the scorer holds one row of 2^n amplitudes per genome; the budget is
+    # the one MAX_QUBITS sets for the widest search register
+    budget = 1 << RegisterLayout(MAX_QUBITS).total
+    if args.population << db.n > budget:
+        raise _UsageError(
+            f"--population {args.population} at {db.n} qubits needs "
+            f"{args.population << db.n} amplitudes, over the limit of {budget}"
+        )
 
     result = gasp_prepare(database_state(db), config)
     cnots = sum(1 for g in result.circuit.gates if g.controls)

@@ -285,9 +285,10 @@ def _pack_coefficients(kind: str, angle: float | None) -> bytes:
         return _PACK_2X2(c, 0.0, off.real, off.imag, off.real, off.imag, c, 0.0)
     if kind == "RY":
         return _PACK_2X2(c, 0.0, -s, 0.0, s, 0.0, c, 0.0)
-    # RZ
-    u00, u11 = np.exp(-0.5j * angle), np.exp(0.5j * angle)
-    return _PACK_2X2(u00.real, u00.imag, 0.0, 0.0, 0.0, 0.0, u11.real, u11.imag)
+    # RZ: exp(-i angle/2) and exp(i angle/2) as numpy's complex exp gives
+    # them, whose exponent 0.5j * angle has imaginary part 0.0 + angle/2,
+    # so + 0.0 takes sin(-0.0) to +0.0
+    return _PACK_2X2(c, -s, 0.0, 0.0, 0.0, 0.0, c, s + 0.0)
 
 
 def _apply_gate_inplace(tensor: np.ndarray, gate: Gate) -> None:
@@ -613,12 +614,12 @@ def run_circuit(circuit: Circuit) -> Statevector:
 # a gate as run_sequences reads it: a 112-byte record holding the gate's 32
 # _select bytes and 64 _coefficients bytes, its angle (0.0 for a kind
 # without one), its kind's place in RECORD_KINDS as the byte at KIND_AT,
-# and 7 bytes of padding
+# and 7 bytes of padding; RECORD_DTYPE reads the first two as numpy fields
 RECORD_KINDS = ("X", "Z", "H", "RX", "RY", "RZ")
 KIND_AT = 104
 _KIND_CODES = {kind: code for code, kind in enumerate(RECORD_KINDS)}
 _TAIL = struct.Struct("dB7x")
-_RECORD = np.dtype(
+RECORD_DTYPE = np.dtype(
     {
         "names": ["select", "coefficients"],
         "formats": [(np.int64, 4), (np.complex128, 4)],
@@ -723,7 +724,7 @@ def _run_block(amps, sequences, lengths, first_row, zero, pairs) -> None:
         return
     num_qubits = len(zero)
     dim = 1 << num_qubits
-    records = np.frombuffer(b"".join(map(b"".join, sequences)), _RECORD)
+    records = np.frombuffer(b"".join(map(b"".join, sequences)), RECORD_DTYPE)
     target, top, mask, value = records["select"].T
     if top.max() >= num_qubits:
         bad = records[np.argmax(top >= num_qubits)].tobytes()

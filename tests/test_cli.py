@@ -174,8 +174,8 @@ def test_run_fidelity_loader(db3, capsys):
 
 
 def test_run_full_fidelity_loader_pinned(db3, monkeypatch, capsys):
-    # digest read off the closed-form perturbation: --full must keep its
-    # seeds and its circuit
+    # digest read off the closed-form perturbation and the angle-fitted
+    # synthesis: --full must keep its seeds and its circuit
     loaders = []
     run_qsa = cli.run_qsa
 
@@ -189,7 +189,7 @@ def test_run_full_fidelity_loader_pinned(db3, monkeypatch, capsys):
     capsys.readouterr()
     text = serialize_circuit(loaders[0])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "8fffa1a7ab6d30b9f7ec9767eed82a690d9688dad14d98c76b898f4aff5410d9"
+        "8e6283f58fbc25db589a4df7ea00b8473996856dace126043f900ca0eca812ad"
     )
 
 
@@ -353,6 +353,25 @@ def test_gasp_usage_error(tmp_path, capsys):
     db = _write(tmp_path / "db.txt", "00\n11\n")
     assert main(["gasp", "--db", db, "--population", "0"]) == 1
     capsys.readouterr()
+
+
+def test_gasp_refuses_a_population_over_the_amplitude_budget(tmp_path, monkeypatch, capsys):
+    # the scorer holds P rows of 2^n amplitudes; at n=8 the 2^20 budget of
+    # the widest search register admits 4096 genomes, and 100000 would ask
+    # for about 0.8 GB, so it is refused before any allocation
+    populations = []
+
+    def stub(target, config):
+        populations.append(config.population_size)
+        raise RuntimeError("stop after the checks")
+
+    monkeypatch.setattr(cli, "gasp_prepare", stub)
+    db = _write(tmp_path / "db.txt", "00000000\n11111111\n")
+    for population in (100000, 4097):
+        assert main(["gasp", "--db", db, "--population", str(population)]) == 1
+        assert f"--population {population} at 8 qubits needs" in capsys.readouterr().err
+    assert main(["gasp", "--db", db, "--population", "4096"]) == 2
+    assert populations == [4096]
 
 
 def test_verify_quick_passes(capsys):

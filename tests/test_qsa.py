@@ -338,6 +338,28 @@ def test_degraded_fallback_is_flagged_and_sound():
     assert saw_degraded
 
 
+def test_fallback_keeps_the_first_nearest_entry_observed(monkeypatch):
+    # 101 and 011 both sit at distance 2 and are sampled only at delta 1,
+    # where neither is accepted, 101 first; delta 2 samples no entry. The
+    # fallback carries the first nearest entry seen, not the last, and not
+    # the one of lower basis index
+    db = Database(3, ("100", "011", "101"))
+    target = TargetSequence("000")
+    layout = RegisterLayout(3)
+    samples = iter(
+        [
+            {layout.pack_index(0b101, 0b101, 2): 7},
+            {layout.pack_index(0b011, 0b011, 2): 7},
+            {layout.pack_index(0b000, 0b000, 0): 7},
+            {layout.pack_index(0b000, 0b000, 0): 7},
+        ]
+    )
+    monkeypatch.setattr(qsa, "sample_counts", lambda state, shots, seed: next(samples))
+    result = run_qsa(exact_loader(db), db, target, QsaConfig(rng_seed=0, repeats=2))
+    assert result.delta_trace == (1, 1, 2, 2)
+    assert (result.match, result.distance, result.degraded) == ("101", 2, True)
+
+
 # no shrink phase: shrinking a failing 15-qubit example takes minutes
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @settings(max_examples=5, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))

@@ -1,6 +1,7 @@
 """Gate semantics, circuit algebra, sampling, and serialization."""
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -67,6 +68,21 @@ def test_gate_matrix_fixed_at_construction():
         Circuit(2, (x(3, controls=((1, 1),)),))
     with pytest.raises(ValueError, match=r"touches qubits \[2\] outside \[0, 2\)"):
         apply_circuit(basis_state(2, 0), Circuit(2, (x(0, controls=((2, 1),)),)))
+
+
+def test_rz_coefficients_are_the_bytes_of_numpy_complex_exp():
+    # RZ packs math.cos and math.sin of angle/2; its bytes must equal those
+    # of numpy's exp(-0.5j * angle) and exp(0.5j * angle), signed zeros
+    # included: at angle -0.0, exp's u11 has imaginary part +0.0, where
+    # sin(-0.0) is -0.0
+    rng = np.random.default_rng(11)
+    angles = [0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324]
+    angles += rng.uniform(-4 * math.pi, 4 * math.pi, 20000).tolist()
+    angles += (rng.choice([-1.0, 1.0], 2000) * np.exp(rng.uniform(0.0, 700.0, 2000))).tolist()
+    for angle in angles:
+        u00, u11 = np.exp(-0.5j * angle), np.exp(0.5j * angle)
+        expected = struct.pack("8d", u00.real, u00.imag, 0, 0, 0, 0, u11.real, u11.imag)
+        assert rz(0, angle)._coefficients == expected, angle.hex()
 
 
 def test_qubit_zero_is_least_significant():
