@@ -248,13 +248,14 @@ def _cmd_gasp(args) -> int:
         )
     except (OSError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
-    # the scorer holds one row of 2^n amplitudes per genome; the budget is
-    # the one MAX_QUBITS sets for the widest search register
+    # a genome holds up to 64 genes of 112 bytes at any width, so each is
+    # budgeted as one row of the widest search register's 2^20 amplitudes
     budget = 1 << RegisterLayout(MAX_QUBITS).total
-    if args.population << db.n > budget:
+    if args.population << MAX_QUBITS > budget:
         raise _UsageError(
             f"--population {args.population} at {db.n} qubits needs "
-            f"{args.population << db.n} amplitudes, over the limit of {budget}"
+            f"{args.population << MAX_QUBITS} amplitudes as {MAX_QUBITS}-qubit rows, "
+            f"over the limit of {budget}"
         )
 
     result = gasp_prepare(database_state(db), config)

@@ -167,7 +167,7 @@ def random_target(n: int, seed=None) -> TargetSequence:
     return TargetSequence(format(int(rng.integers(1 << n)), f"0{n}b"))
 
 
-def layer_study(n: int, p_max: int, seed=None, shots: int = 4096) -> list[LayerPoint]:
+def layer_study(n: int, p_max: int, seed: int, shots: int = 4096) -> list[LayerPoint]:
     """Accuracy and marked probability for p = 0..p_max at a fixed instance.
 
     The instance has the target planted in the database so exactly one
@@ -179,7 +179,7 @@ def layer_study(n: int, p_max: int, seed=None, shots: int = 4096) -> list[LayerP
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
-    root = np.random.SeedSequence([0 if seed is None else seed, n])
+    root = np.random.SeedSequence([seed, n])
     db_seed, target_seed, *shot_seeds = root.spawn(3 + p_max)
     db = random_database(n, "ceil", db_seed)
     target = random_target(n, target_seed)

@@ -200,17 +200,12 @@ class Circuit:
         # one C-level pass for the common, valid case; the loop runs only to
         # name the offending gate
         if gates and max(map(_MAX_QUBIT, gates)) >= self.num_qubits:
-            _raise_out_of_range(
-                next(g for g in gates if g.max_qubit >= self.num_qubits), self.num_qubits
-            )
+            gate = next(g for g in gates if g.max_qubit >= self.num_qubits)
+            bad = [q for q in gate.qubits() if q >= self.num_qubits]
+            raise ValueError(f"gate {gate.kind} touches qubits {bad} outside [0, {self.num_qubits})")
 
     def __len__(self) -> int:
         return len(self.gates)
-
-
-def _raise_out_of_range(gate: Gate, num_qubits: int):
-    bad = [q for q in gate.qubits() if q >= num_qubits]
-    raise ValueError(f"gate {gate.kind} touches qubits {bad} outside [0, {num_qubits})")
 
 
 def concat(*circuits: Circuit) -> Circuit:
@@ -611,70 +606,24 @@ def run_circuit(circuit: Circuit) -> Statevector:
     return apply_circuit(basis_state(circuit.num_qubits, index), rest)
 
 
-# a gate as run_sequences reads it: a 112-byte record holding the gate's 32
-# _select bytes and 64 _coefficients bytes, its angle (0.0 for a kind
-# without one), its kind's place in RECORD_KINDS as the byte at KIND_AT,
-# and 7 bytes of padding; RECORD_DTYPE reads the first two as numpy fields
-RECORD_KINDS = ("X", "Z", "H", "RX", "RY", "RZ")
-KIND_AT = 104
-_KIND_CODES = {kind: code for code, kind in enumerate(RECORD_KINDS)}
-_TAIL = struct.Struct("dB7x")
-RECORD_DTYPE = np.dtype(
-    {
-        "names": ["select", "coefficients"],
-        "formats": [(np.int64, 4), (np.complex128, 4)],
-        "offsets": [0, 32],
-        "itemsize": 112,
-    }
-)
-
-
-def gate_record(gate: Gate) -> bytes:
-    """The gate's record, which ``record_gate`` reads back to an equal gate."""
-    if gate.max_qubit >= 63:
-        raise ValueError("a record holds gates below qubit 63")
-    angle = 0.0 if gate.angle is None else gate.angle
-    return gate._select + gate._coefficients + _TAIL.pack(angle, _KIND_CODES[gate.kind])
-
-
-def record_gate(record: bytes) -> Gate:
-    """The gate a record holds, its controls in ascending qubit order."""
-    target, top, mask, value = _UNPACK_SELECT(record[:32])
-    angle, code = _TAIL.unpack_from(record, 96)
-    kind = RECORD_KINDS[code]
-    controls = tuple((q, value >> q & 1) for q in range(top + 1) if mask >> q & 1)
-    return Gate(kind, target, controls, angle if kind in ROTATION_KINDS else None)
-
-
-def record_angle(record: bytes) -> float:
-    """The angle a record holds: a rotation's own, 0.0 for the other kinds."""
-    return _TAIL.unpack_from(record, 96)[0]
-
-
-def reangle_record(record: bytes, angle: float) -> bytes:
-    """A rotation's record at another angle, as ``gate_record`` packs ``with_angle``'s gate.
-
-    Unchecked, like ``Gate.with_angle``: the record holds a rotation and
-    the angle is finite.
-    """
-    code = record[KIND_AT]
-    return record[:32] + _pack_coefficients(RECORD_KINDS[code], angle) + _TAIL.pack(angle, code)
-
-
 # the working bytes run_sequences may hold for one block of rows, at about
 # 16 * 2^n + 256 bytes per gate: a step's index pairs, the controls test
-# and the record; the (P, 2^n) output comes on top
+# and the gate's select and coefficient rows; the (P, 2^n) output comes on top
 _BLOCK_BYTES = 1 << 25
 
 
-def run_sequences(num_qubits: int, sequences) -> np.ndarray:
-    """Apply each of P gate sequences, given as records, to |0...0> in lockstep.
+def run_sequences(num_qubits: int, select, coefficients, lengths) -> np.ndarray:
+    """Apply each of P gate sequences to |0...0> in lockstep.
 
-    sequences[i] lists the records (``gate_record``) of one sequence's
-    gates. Returns a (P, 2^num_qubits) array whose row i equals, element
-    for element, ``run_circuit`` on sequence i's gates; only a zero's sign
-    can differ, since X and Z gates go through their matrices here rather
-    than a swap or a negation.
+    The gates of all sequences come one sequence after another: gate g's
+    ``select[g]`` is its (target, highest qubit, control mask, control
+    value) row, as ``Gate._select`` packs it, and ``coefficients[g]`` its
+    2x2 matrix; sequence i is the next ``lengths[i]`` gates. Returns a
+    (P, 2^num_qubits) array whose row i equals, element for element,
+    ``run_circuit`` on sequence i's gates; only a zero's sign can differ,
+    since X and Z gates go through their matrices here rather than a swap
+    or a negation. Arrays that disagree on the gate count, and a gate
+    outside the register, raise a ValueError.
 
     Step j applies the j-th gate of every row whose sequence is still
     running: each row gathers the 0-half ``a`` and 1-half ``b`` of its
@@ -690,9 +639,20 @@ def run_sequences(num_qubits: int, sequences) -> np.ndarray:
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
+    select = np.asarray(select, dtype=np.int64).reshape(-1, 4)
+    coefficients = np.asarray(coefficients, dtype=np.complex128).reshape(-1, 2, 2)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    total = int(lengths.sum())
+    if (lengths < 0).any() or not len(select) == len(coefficients) == total:
+        raise ValueError(
+            f"{len(select)} select rows and {len(coefficients)} matrices "
+            f"for sequences of {total} gates"
+        )
+    outside = np.flatnonzero((select[:, 0] < 0) | (select[:, 1] >= num_qubits))
+    if len(outside):
+        raise ValueError(f"gate {outside[0]} touches a qubit outside [0, {num_qubits})")
     dim = 1 << num_qubits
-    count = len(sequences)
-    lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
+    count = len(lengths)
     amps = np.zeros(count * dim + 1, dtype=np.complex128)
     amps[: count * dim : dim] = 1.0
 
@@ -706,35 +666,31 @@ def run_sequences(num_qubits: int, sequences) -> np.ndarray:
     per_block = _BLOCK_BYTES // (16 * dim + 256)
     start = 0
     while start < count:
-        fit = np.searchsorted(ends, ends[start] - lengths[start] + per_block, "right")
-        stop = max(start + 1, int(fit))
-        _run_block(amps, sequences[start:stop], lengths[start:stop], start, zero, pairs)
+        first = ends[start] - lengths[start]
+        stop = max(start + 1, int(np.searchsorted(ends, first + per_block, "right")))
+        gates = slice(first, ends[stop - 1])
+        _run_block(amps, select[gates], coefficients[gates], lengths[start:stop], start, zero, pairs)
         start = stop
     return amps[:-1].reshape(count, dim)
 
 
-def _run_block(amps, sequences, lengths, first_row, zero, pairs) -> None:
+def _run_block(amps, select, coefficients, lengths, first_row, zero, pairs) -> None:
     """``run_sequences`` on one block of rows, the first of them row first_row.
 
-    amps holds every row's amplitudes, then the scratch amplitude; zero
-    and pairs are ``run_sequences``' index tables.
+    amps holds every row's amplitudes, then the scratch amplitude; select
+    and coefficients hold the block's gates alone; zero and pairs are
+    ``run_sequences``' index tables.
     """
     depth = int(lengths.max(initial=0))
     if depth == 0:
         return
-    num_qubits = len(zero)
-    dim = 1 << num_qubits
-    records = np.frombuffer(b"".join(map(b"".join, sequences)), RECORD_DTYPE)
-    target, top, mask, value = records["select"].T
-    if top.max() >= num_qubits:
-        bad = records[np.argmax(top >= num_qubits)].tobytes()
-        _raise_out_of_range(record_gate(bad), num_qubits)
-
+    dim = 1 << len(zero)
     # the (step, row) cells that hold a gate, step-major: np.nonzero lists
     # step j's running rows as one stretch, cells bounds[j] to bounds[j + 1]
     steps, rows = np.nonzero(np.arange(depth)[:, None] < lengths)
     bounds = np.searchsorted(steps, np.arange(depth + 1)).tolist()
     gate = (np.cumsum(lengths) - lengths)[rows] + steps
+    target, _, mask, value = select.T
     target, mask, value = target[gate], mask[gate], value[gate]
     # index[c, h]: the amplitudes whose target bit is h that cell c's gate
     # pairs up, ascending
@@ -746,7 +702,7 @@ def _run_block(amps, sequences, lengths, first_row, zero, pairs) -> None:
     )
     index[controlled[failed], :, column] = len(amps) - 1
     # column 0 and column 1 of each gate's matrix, shaped (cells, 2, 1)
-    coef = records["coefficients"][gate].reshape(-1, 2, 2)
+    coef = coefficients[gate]
     first, second = coef[..., :1], coef[..., 1:]
     for j in range(depth):
         s, e = bounds[j], bounds[j + 1]

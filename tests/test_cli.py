@@ -349,6 +349,15 @@ def test_gasp_circuit_roundtrip(tmp_path, capsys):
     assert np.isclose(achieved, report["fidelity"])
 
 
+def test_gasp_rerun_writes_an_identical_circuit_file(tmp_path, capsys):
+    db = _write(tmp_path / "db.txt", "0011\n0101\n1110\n1000\n")
+    for name in ("a.txt", "b.txt"):
+        args = ["gasp", "--db", db, "--generations", "5", "--seed", "1", "--out"]
+        assert main(args + [str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
 def test_gasp_usage_error(tmp_path, capsys):
     db = _write(tmp_path / "db.txt", "00\n11\n")
     assert main(["gasp", "--db", db, "--population", "0"]) == 1
@@ -371,6 +380,12 @@ def test_gasp_refuses_a_population_over_the_amplitude_budget(tmp_path, monkeypat
         assert main(["gasp", "--db", db, "--population", str(population)]) == 1
         assert f"--population {population} at 8 qubits needs" in capsys.readouterr().err
     assert main(["gasp", "--db", db, "--population", "4096"]) == 2
+    assert populations == [4096]
+    # a genome's genes take the same room at any width, so every width is
+    # held to the same 4096 genomes: at n=1, 4097 is refused too
+    narrow = _write(tmp_path / "narrow.txt", "0\n1\n")
+    assert main(["gasp", "--db", narrow, "--population", "4097"]) == 1
+    assert "--population 4097 at 1 qubits needs" in capsys.readouterr().err
     assert populations == [4096]
 
 

@@ -20,15 +20,12 @@ from qsalign.gasp import (
 from qsalign.experiments import random_database
 from qsalign.registers import database_state
 from qsalign.simcore import (
-    KIND_AT,
+    ROTATION_KINDS,
     Gate,
     Statevector,
     basis_state,
     cnot,
     fidelity,
-    gate_record,
-    reangle_record,
-    record_angle,
     run_circuit,
     ry,
     rz,
@@ -58,7 +55,7 @@ def test_config_refuses_a_negative_seed():
 
 def test_genome_circuit_mapping():
     gates = [ry(0, 0.5), cnot(0, 1), rz(1, 1.25)]
-    genome = Genome([gate_record(g) for g in gates])
+    genome = Genome([gasp._gene(g) for g in gates])
     circuit = genome_circuit(genome, 2)
     assert circuit.num_qubits == 2
     assert circuit.gates == tuple(gates)
@@ -68,8 +65,33 @@ def test_genome_circuit_mapping():
         genome_circuit(genome, 1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(ROTATION_KINDS)),
+    st.integers(0, gasp.MAX_QUBITS - 1),
+    st.floats(-4 * math.pi, 4 * math.pi),
+    st.integers(0, gasp.MAX_QUBITS - 2),
+)
+def test_every_gene_carries_its_gates_bytes_and_reads_back_to_it(kind, qubit, angle, other):
+    # a gene holds the 32 _select and 64 _coefficients bytes that the
+    # batched scorer reads, then its angle and kind; genome_circuit builds
+    # the very gate whose bytes those are
+    control = other + (other >= qubit)
+    template = gasp._ROTATION_TEMPLATES[kind, qubit]
+    for gene, gate in (
+        (template, Gate(kind, qubit, (), 0.0)),
+        (gasp._reangle(template, angle), Gate(kind, qubit, (), angle)),
+        (gasp._CNOTS[control, qubit], cnot(control, qubit)),
+    ):
+        assert len(gene) == 112
+        assert gene[:96] == gate._select + gate._coefficients
+        assert gasp._angle(gene) == (gate.angle or 0.0)
+        assert gasp._gene(gate) == gene
+        assert genome_circuit(Genome([gene]), gasp.MAX_QUBITS).gates == (gate,)
+
+
 def test_evolution_builds_no_gate_but_the_returned_circuits(monkeypatch):
-    # genes are records: breeding and scoring a generation build no Gate,
+    # genes are packed bytes: breeding and scoring a generation build no Gate,
     # and only genome_circuit reads the archived best back, one Gate per gene
     built, reangled = [], []
     post_init, with_angle = Gate.__post_init__, Gate.with_angle
@@ -185,12 +207,12 @@ def test_angle_fit_beats_every_grid_angle_and_never_lowers_fitness(n, seed):
     assert len(fitted) == len(genes)
     grid = 2 * math.pi * np.arange(64) / 64
     for k, gene in enumerate(genes):
-        if gene[KIND_AT] not in gasp._ROTATION_CODES:
+        if gasp._gene_gate(gene).kind not in ROTATION_KINDS:
             assert fitted[k] == gene
             continue
         assert fitted[k][:32] == gene[:32]
-        angles = [record_angle(fitted[k]), *grid.tolist()]
-        trials = [Genome(fitted[:k] + [reangle_record(gene, a)] + genes[k + 1 :]) for a in angles]
+        angles = [gasp._angle(fitted[k]), *grid.tolist()]
+        trials = [Genome(fitted[:k] + [gasp._reangle(gene, a)] + genes[k + 1 :]) for a in angles]
         gasp._score(trials, target)
         assert trials[0].fitness >= max(t.fitness for t in trials[1:]) - 1e-12
     before, after = Genome(genes), Genome(fitted)

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from qsalign import simcore
+from qsalign import gasp, simcore
 from qsalign.experiments import calibrated_loader, random_database, random_target
-from qsalign.gasp import GaConfig
+from qsalign.gasp import GaConfig, Genome, genome_circuit
 from qsalign.grover import phase_oracle, search_circuit
 from qsalign.qsa import QsaConfig, run_qsa, strip_diagonal_tail
 from qsalign.registers import (
@@ -32,20 +32,14 @@ from qsalign.registers import (
 )
 from qsalign.simcore import (
     GATE_KINDS,
-    KIND_AT,
-    RECORD_KINDS,
     ROTATION_KINDS,
     Circuit,
     Gate,
     Statevector,
     apply_circuit,
     cnot,
-    gate_record,
     invert,
     parse_circuit,
-    reangle_record,
-    record_angle,
-    record_gate,
     run_circuit,
     run_sequences,
     sample_counts,
@@ -271,9 +265,17 @@ def test_circuit_text_roundtrip_is_exact(circuit):
     assert np.array_equal(run_circuit(again).amplitudes, run_circuit(circuit).amplitudes)
 
 
+def _gate_arrays(sequences):
+    """run_sequences' arguments for the sequences, read off each Gate's packed bytes."""
+    gates = [gate for seq in sequences for gate in seq]
+    select = np.frombuffer(b"".join([g._select for g in gates]), np.int64).reshape(-1, 4)
+    coefficients = np.frombuffer(b"".join([g._coefficients for g in gates]), np.complex128)
+    return select, coefficients.reshape(-1, 2, 2), [len(seq) for seq in sequences]
+
+
 def _check_batch(num_qubits, sequences):
-    """run_sequences on the sequences' records: each row is run_circuit's state."""
-    states = run_sequences(num_qubits, [[gate_record(g) for g in seq] for seq in sequences])
+    """run_sequences on the sequences' gate arrays: each row is run_circuit's state."""
+    states = run_sequences(num_qubits, *_gate_arrays(sequences))
     assert states.shape == (len(sequences), 1 << num_qubits)
     for row, sequence in zip(states, sequences):
         expected = run_circuit(Circuit(num_qubits, tuple(sequence))).amplitudes
@@ -323,8 +325,7 @@ def test_batched_runner_runs_rows_of_every_length_in_blocks(monkeypatch, num_qub
     whole = _check_batch(num_qubits, sequences)
     with monkeypatch.context() as patch:
         patch.setattr(simcore, "_BLOCK_BYTES", per_block * (16 * (1 << num_qubits) + 256))
-        records = [[gate_record(g) for g in seq] for seq in sequences]
-        assert np.array_equal(run_sequences(num_qubits, records), whole)
+        assert np.array_equal(run_sequences(num_qubits, *_gate_arrays(sequences)), whole)
 
 
 def test_batched_runner_memory_stays_under_its_block_budget(monkeypatch):
@@ -335,10 +336,10 @@ def test_batched_runner_memory_stays_under_its_block_budget(monkeypatch):
     monkeypatch.setattr(simcore, "_BLOCK_BYTES", budget)
     sequences = _random_sequences(8, [34] * 1600, 3)
     for count in (400, 1600):
-        records = [[gate_record(g) for g in seq] for seq in sequences[:count]]
+        arrays = _gate_arrays(sequences[:count])
         tracemalloc.start()
         try:
-            run_sequences(8, records)
+            run_sequences(8, *arrays)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,7 +348,7 @@ def test_batched_runner_memory_stays_under_its_block_budget(monkeypatch):
 
 def test_batched_runner_matches_run_circuit_on_a_ga_shaped_batch():
     # what the synthesis scores each generation: about a hundred ragged
-    # rotation/CNOT gene lists of up to 64 genes, children sharing records
+    # rotation/CNOT gene lists of up to 64 genes, children sharing genes
     # with their parents and carrying re-angled rotations
     rng = np.random.default_rng(9)
     num_qubits = 4
@@ -356,13 +357,13 @@ def test_batched_runner_matches_run_circuit_on_a_ga_shaped_batch():
         kind = ("RX", "RY", "RZ", "CNOT")[rng.integers(4)]
         target, control = (int(q) for q in rng.permutation(num_qubits)[:2])
         if kind == "CNOT":
-            return gate_record(cnot(control, target))
-        return gate_record(Gate(kind, target, (), rng.uniform(0, 2 * pi)))
+            return gasp._CNOTS[control, target]
+        return gasp._reangle(gasp._ROTATION_TEMPLATES[kind, target], rng.uniform(0, 2 * pi))
 
-    def polish(record):
-        if record[KIND_AT] >= RECORD_KINDS.index("RX") and rng.random() < 0.2:
-            return reangle_record(record, record_angle(record) + rng.normal(0, 0.1))
-        return record
+    def polish(gene):
+        if gasp._gene_gate(gene).kind in ROTATION_KINDS and rng.random() < 0.2:
+            return gasp._reangle(gene, gasp._angle(gene) + rng.normal(0, 0.1))
+        return gene
 
     parents = [[], [gene() for _ in range(64)]]
     parents += [[gene() for _ in range(rng.integers(1, 65))] for _ in range(48)]
@@ -370,31 +371,14 @@ def test_batched_runner_matches_run_circuit_on_a_ga_shaped_batch():
     for _ in range(50):
         a, b = (parents[i] for i in rng.integers(len(parents), size=2))
         child = (a[: rng.integers(len(a) + 1)] + b[rng.integers(len(b) + 1) :])[:64]
-        children.append([polish(r) for r in child])
-    _check_batch(num_qubits, [[record_gate(r) for r in seq] for seq in parents + children])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 8).flatmap(gates), _ANGLES)
-def test_a_record_reads_back_to_its_gate(gate, angle):
-    record = gate_record(gate)
-    assert len(record) == 112
-    assert record[:32] == gate._select and record[32:96] == gate._coefficients
-    assert RECORD_KINDS[record[KIND_AT]] == gate.kind
-    back = record_gate(record)
-    assert back == Gate(gate.kind, gate.target, tuple(sorted(gate.controls)), gate.angle)
-    assert gate_record(back) == record
-    if gate.kind in ROTATION_KINDS:
-        assert record_angle(record) == gate.angle
-        assert reangle_record(record, float(angle)) == gate_record(gate.with_angle(angle))
-    else:
-        assert record_angle(record) == 0.0
-
-
-def test_a_record_holds_gates_below_qubit_63():
-    gate_record(x(62, ((0, 1),)))
-    with pytest.raises(ValueError, match="below qubit 63"):
-        gate_record(x(0, ((63, 1),)))
+        children.append([polish(g) for g in child])
+    # the batch as the scorer reads it, through the genes' numpy fields
+    genomes = [Genome(genes) for genes in parents + children]
+    fields = np.frombuffer(b"".join([b"".join(g.genes) for g in genomes]), gasp._GENE)
+    lengths = [len(g.genes) for g in genomes]
+    states = run_sequences(num_qubits, fields["select"], fields["coefficients"], lengths)
+    for row, genome in zip(states, genomes):
+        assert np.array_equal(row, run_circuit(genome_circuit(genome, num_qubits)).amplitudes)
 
 
 @pytest.mark.parametrize("kind", sorted(ROTATION_KINDS))

@@ -19,7 +19,6 @@ from qsalign.simcore import (
     cnot,
     concat,
     fidelity,
-    gate_record,
     h,
     invert,
     parse_circuit,
@@ -183,16 +182,31 @@ def test_concat_and_width_checks():
         Circuit(2, (x(5),))
 
 
+def _gate_arrays(gates):
+    select = np.frombuffer(b"".join([g._select for g in gates]), np.int64).reshape(-1, 4)
+    coefficients = np.frombuffer(b"".join([g._coefficients for g in gates]), np.complex128)
+    return select, coefficients.reshape(-1, 2, 2)
+
+
 def test_run_sequences_range_check_matches_circuit():
-    for gate in (x(2), cnot(3, 0), z(1, ((0, 1), (4, 0)))):
-        with pytest.raises(ValueError) as by_circuit:
+    # the batched runner refuses the gates a circuit refuses, from their
+    # packed rows alone, and names the gate's place in the batch
+    for gate in (x(2), cnot(3, 0), cnot(0, 3), z(1, ((0, 1), (4, 0)))):
+        with pytest.raises(ValueError, match="outside"):
             Circuit(2, (h(0), gate))
-        with pytest.raises(ValueError) as by_batch:
-            run_sequences(2, [[gate_record(h(0))], [gate_record(h(1)), gate_record(gate)]])
-        assert str(by_batch.value) == str(by_circuit.value)
-    empty = run_sequences(2, [[], []])
+        with pytest.raises(ValueError, match=r"gate 2 touches a qubit outside \[0, 2\)"):
+            run_sequences(2, *_gate_arrays([h(0), h(1), gate]), [1, 2])
+    select, coefficients = _gate_arrays([h(0), h(1), cnot(0, 1)])
+    assert run_sequences(2, select, coefficients, [1, 2]).shape == (2, 4)
+    # arrays that disagree on the gate count are refused
+    for lengths in ([1, 1], [2, 2], [4, -1]):
+        with pytest.raises(ValueError, match="for sequences of"):
+            run_sequences(2, select, coefficients, lengths)
+    with pytest.raises(ValueError, match="for sequences of"):
+        run_sequences(2, select[:2], coefficients, [1, 2])
+    empty = run_sequences(2, *_gate_arrays([]), [0, 0])
     assert np.array_equal(empty, [[1, 0, 0, 0], [1, 0, 0, 0]])
-    assert run_sequences(3, []).shape == (0, 8)
+    assert run_sequences(3, *_gate_arrays([]), []).shape == (0, 8)
 
 
 def test_basis_state_bounds():
