@@ -136,6 +136,23 @@ def test_criterion_6_synthesis_convergence(capsys):
     assert elapsed < 900
 
 
+def test_criterion_6_protocol_at_five_qubits(capsys):
+    # criterion 6's protocol one width up: floor databases 0..9, GA seed
+    # equal to the database seed, threshold 0.99; criterion 6 itself keeps
+    # its sizes
+    t0 = time.time()
+    converged = 0
+    for seed in range(10):
+        target = database_state(random_database(5, "floor", seed))
+        converged += gasp_prepare(target, GaConfig(rng_seed=seed)).fidelity >= 0.99
+    elapsed = time.time() - t0
+    ok = converged >= 8 and elapsed < 900
+    detail = f"n=5: {converged}/10 (need 8)"
+    _report(capsys, 6, "synthesis convergence at n=5", ok, detail, elapsed, 900)
+    assert converged >= 8, detail
+    assert elapsed < 900
+
+
 def test_criterion_7_fidelity_sweep_trend(capsys):
     t0 = time.time()
     config = SweepConfig(

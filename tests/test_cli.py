@@ -174,8 +174,8 @@ def test_run_fidelity_loader(db3, capsys):
 
 
 def test_run_full_fidelity_loader_pinned(db3, monkeypatch, capsys):
-    # digest read off the closed-form perturbation and the angle-fitted
-    # synthesis: --full must keep its seeds and its circuit
+    # digest read off the closed-form perturbation and the synthesis, here
+    # the fitted skeleton: --full must keep its seeds and its circuit
     loaders = []
     run_qsa = cli.run_qsa
 
@@ -189,7 +189,7 @@ def test_run_full_fidelity_loader_pinned(db3, monkeypatch, capsys):
     capsys.readouterr()
     text = serialize_circuit(loaders[0])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "8e6283f58fbc25db589a4df7ea00b8473996856dace126043f900ca0eca812ad"
+        "99ca39ef963d702f9d9c9a408ca358e0483b309b432120ca99b923d61b795da6"
     )
 
 

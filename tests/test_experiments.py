@@ -153,14 +153,14 @@ def test_run_sweep_trial_record():
 
 def test_run_sweep_trial_loader_pinned():
     # read off the closed-form perturbation and, in full mode, the
-    # angle-fitted synthesis: the loader wiring (seeds, perturbation and
+    # synthesis, here the fitted skeleton: the loader wiring (seeds, perturbation and
     # builder) must not move by one ulp
     fast = run_sweep_trial(3, 0.9, 12345, 2, shots=1024, mode="fast")
     assert fast.achieved_fidelity.hex() == "0x1.cccccccccccccp-1"
     assert fast.accuracy == 0.9503095441456025
     full = run_sweep_trial(3, 0.9, 12345, 2, shots=1024, mode="full")
-    assert full.achieved_fidelity.hex() == "0x1.ceac79eb11d81p-1"
-    assert full.accuracy == 0.9219214427522926
+    assert full.achieved_fidelity.hex() == "0x1.cd0314b7d0c30p-1"
+    assert full.accuracy == 0.9663095107649561
     with pytest.raises(ValueError):
         run_sweep_trial(3, 0.9, 12345, 2, mode="approximate")
 

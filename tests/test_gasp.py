@@ -1,4 +1,5 @@
 """Genetic synthesis and fidelity-calibrated perturbation."""
+import hashlib
 import math
 
 import numpy as np
@@ -90,9 +91,16 @@ def test_every_gene_carries_its_gates_bytes_and_reads_back_to_it(kind, qubit, an
         assert genome_circuit(Genome([gene]), gasp.MAX_QUBITS).gates == (gate,)
 
 
+def _without_skeleton(monkeypatch):
+    # a skeleton that reaches nothing: its fitness 0.0 never beats the
+    # archive, so every synthesis is the search without the skeleton
+    monkeypatch.setattr(gasp, "_skeleton", lambda target, goal: Genome([], 0.0))
+
+
 def test_evolution_builds_no_gate_but_the_returned_circuits(monkeypatch):
-    # genes are packed bytes: breeding and scoring a generation build no Gate,
-    # and only genome_circuit reads the archived best back, one Gate per gene
+    # genes are packed bytes: building and fitting the skeleton, and
+    # breeding and scoring a generation, build no Gate, and only
+    # genome_circuit reads the returned genome back, one Gate per gene
     built, reangled = [], []
     post_init, with_angle = Gate.__post_init__, Gate.with_angle
 
@@ -107,10 +115,16 @@ def test_evolution_builds_no_gate_but_the_returned_circuits(monkeypatch):
     monkeypatch.setattr(Gate, "__post_init__", counted_post_init)
     monkeypatch.setattr(Gate, "with_angle", counted_with_angle)
     target = database_state(random_database(4, "floor", 0))
-    result = gasp_prepare(target, GaConfig(rng_seed=0))
-    assert result.generations == 1
-    assert built == [g.kind for g in result.circuit.gates]
-    assert reangled == []
+    # the skeleton reaches the target at generation 0; without it the
+    # search breeds one generation
+    for generations in (0, 1):
+        built.clear()
+        if generations:
+            _without_skeleton(monkeypatch)
+        result = gasp_prepare(target, GaConfig(rng_seed=0))
+        assert result.generations == generations
+        assert built == [g.kind for g in result.circuit.gates]
+        assert reangled == []
 
 
 def test_scoring_in_blocks_repeats_the_unblocked_synthesis(monkeypatch):
@@ -135,7 +149,11 @@ def _pinned_runs():
 
 
 def _restart_run(monkeypatch):
-    """(fidelity, generations, genomes drawn) of a seeded run that restarts once."""
+    """(fidelity, generations, genomes drawn) of a seeded run that restarts once.
+
+    The skeleton is stubbed out: it reaches this target at generation 0.
+    """
+    _without_skeleton(monkeypatch)
     drawn = []
 
     def counted(*args):
@@ -151,22 +169,22 @@ def _restart_run(monkeypatch):
 
 def test_gasp_trajectory_pinned():
     # fidelities of the seeded runs, exact to the last bit: a change to the
-    # kernel's arithmetic, to the angle fit or to the order of the GA's
-    # random draws shows here. The fit takes the first population's best
-    # to the target at Bell; the benchmark's longest synthesis, n=4 seed
-    # 1, converges at generation 112
+    # kernel's arithmetic, to the angle fit, to the skeleton or to the
+    # order of the GA's random draws shows here. The fit takes the first
+    # population's best to the target at Bell; the fitted skeleton reaches
+    # it at generation 0 on the others, stopping at the first sweep past it
     assert _pinned_runs() == [
         (float.fromhex("0x1.ffffffffffffep-1"), 0, True),
-        (1.0, 2, True),
-        (1.0, 1, True),
-        (float.fromhex("0x1.ff87ebe405c3ep-1"), 112, True),
+        (float.fromhex("0x1.fe05001ff7761p-1"), 0, True),
+        (float.fromhex("0x1.fe56a71de73f1p-1"), 0, True),
+        (float.fromhex("0x1.fb7adcef3b5a1p-1"), 0, True),
     ]
 
 
 def test_gasp_trajectory_through_a_restart_pinned(monkeypatch):
-    # the pins above never restart; this run stagnates once, so its fresh
-    # population of random genomes (99 at the start, then 100 more) is
-    # pinned with the rest
+    # the pins above never restart; without the skeleton this run
+    # stagnates once, so its fresh population of random genomes (99 at the
+    # start, then 100 more) is pinned with the rest
     assert _restart_run(monkeypatch) == (float.fromhex("0x1.b4fd01debd49fp-1"), 100, 199)
 
 
@@ -174,8 +192,9 @@ def test_without_the_angle_fit_every_synthesis_repeats_the_plain_search(monkeypa
     # the fitted genome never joins the population and the fit draws no
     # random numbers, so with the fit returning its genes unchanged, every
     # draw and generation is the plain search's: these are its pins, taken
-    # before the fit was added
+    # before the fit and the skeleton were added
     monkeypatch.setattr(gasp, "_fit_angles", lambda genes, target: genes)
+    _without_skeleton(monkeypatch)
     assert _pinned_runs() == [
         (float.fromhex("0x1.fffe9f0413583p-1"), 5, True),
         (float.fromhex("0x1.fd534b173a48dp-1"), 18, True),
@@ -192,6 +211,94 @@ def test_a_fitted_copy_that_scores_no_higher_is_discarded(monkeypatch):
     bell = Statevector(2, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
     result = gasp_prepare(bell, GaConfig(rng_seed=0))
     assert (result.fidelity, result.generations) == (float.fromhex("0x1.fffe9f0413583p-1"), 5)
+
+
+def test_a_first_best_that_converges_builds_no_skeleton(monkeypatch):
+    # Bell and n=3 seeds 1..9: the fitted first best reaches the target, so
+    # the skeleton is never built and each run is the one before the
+    # skeleton was added, circuits included (digest taken then)
+    built = []
+    skeleton = gasp._skeleton
+    monkeypatch.setattr(gasp, "_skeleton", lambda *args: built.append(args) or skeleton(*args))
+    bell = Statevector(2, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
+    runs = [(bell, 0)] + [(database_state(random_database(3, "floor", s)), s) for s in range(1, 10)]
+    results = [gasp_prepare(target, GaConfig(rng_seed=s)) for target, s in runs]
+    assert built == []
+    assert [r.generations for r in results] == [0] * 10
+    assert results[0].fidelity == float.fromhex("0x1.ffffffffffffep-1")
+    digest = hashlib.sha256()
+    for r in results:
+        digest.update(simcore.serialize_circuit(r.circuit).encode())
+    assert digest.hexdigest() == "c7d13a0eb552d11707a7d50a99fd8d829ca516717d97f697eac94fc8013a3cb0"
+
+
+def _traced_synthesis(monkeypatch, target, config):
+    """(result, skeletons fitted, the search generator's state after the run)."""
+    generators, skeletons = [], []
+    default_rng, skeleton = np.random.default_rng, gasp._skeleton
+
+    def rng_spy(seed):
+        generators.append(default_rng(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(gasp.np.random, "default_rng", rng_spy)
+    monkeypatch.setattr(gasp, "_skeleton", lambda *args: skeletons.append(skeleton(*args)) or skeletons[-1])
+    result = gasp_prepare(target, config)
+    [generator] = generators
+    return result, skeletons, generator.bit_generator.state
+
+
+@pytest.mark.parametrize("winner", ["archive", "skeleton"])
+def test_a_skeleton_that_misses_leaves_the_search_as_it_was(monkeypatch, winner):
+    # the search takes every draw and generation it takes without the
+    # skeleton, and the better of its archive and the skeleton is returned
+    if winner == "archive":
+        # after one sweep the n=4 seed-1 skeleton misses; the search then
+        # converges at generation 112, the pin taken before the skeleton
+        monkeypatch.setattr(gasp, "_SKELETON_SWEEPS", 1)
+        target, config = database_state(random_database(4, "floor", 1)), GaConfig(rng_seed=1)
+    else:
+        # a complex n=5 target: the gene cap allows 3 chains, short of its
+        # 62 parameters, and 5 generations of 10 genomes end far below them
+        target = _random_state(5, 5)
+        config = GaConfig(population_size=10, max_generations=5, rng_seed=5)
+    result, [skeleton], state = _traced_synthesis(monkeypatch, target, config)
+    assert skeleton.fitness < config.fidelity_target
+    _without_skeleton(monkeypatch)
+    plain, _, plain_state = _traced_synthesis(monkeypatch, target, config)
+    assert (state, result.generations) == (plain_state, plain.generations)
+    if winner == "archive":
+        assert (result.fidelity.hex(), result.generations) == ("0x1.ff87ebe405c3ep-1", 112)
+        assert plain.fidelity > skeleton.fitness
+        assert (result.fidelity, result.circuit) == (plain.fidelity, plain.circuit)
+    else:
+        assert skeleton.fitness > plain.fidelity
+        assert (result.fidelity, result.circuit) == (skeleton.fitness, genome_circuit(skeleton, 5))
+
+
+@pytest.mark.parametrize("n", range(1, gasp.MAX_QUBITS + 1))
+def test_skeleton_layers_cover_the_targets_parameters_up_to_the_gene_cap(n):
+    # RY layers for a target real up to a global phase, RY and RZ layers
+    # otherwise, with a CNOT chain between each two: as many chains as the
+    # layers before them need to hold the target's real parameters, 2^n - 1
+    # per kind, or as many as fit in the gene cap, which binds from n=5 on
+    amps = np.random.default_rng(n).normal(size=1 << n)
+    real = Statevector(n, (amps / np.linalg.norm(amps)).astype(complex))
+    phased = Statevector(n, real.amplitudes * np.exp(0.7j))
+    for target, kinds in ((real, ("RY",)), (phased, ("RY",)), (_random_state(n, n), ("RY", "RZ"))):
+        layer = [(kind, q, ()) for q in range(n) for kind in kinds]
+        chain = [("X", q + 1, ((q, 1),)) for q in range(n - 1)]
+        chains = math.ceil(((1 << n) - 1) / n)
+        while chains * (len(layer) + len(chain)) + len(layer) > gasp._MAX_GENES:
+            chains -= 1
+        assert (chains * len(layer) >= len(kinds) * ((1 << n) - 1)) == (n <= 4)
+        # a goal of 0 stops after one sweep
+        skeleton = gasp._skeleton(target, 0.0)
+        gates = genome_circuit(skeleton, n).gates
+        assert [(g.kind, g.target, g.controls) for g in gates] == (layer + chain) * chains + layer
+        rescored = Genome(skeleton.genes)
+        gasp._score([rescored], target)
+        assert rescored.fitness == skeleton.fitness
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -269,6 +376,7 @@ def test_zero_generations_returns_the_first_population_best(monkeypatch):
         scored.append([g.fitness for g in genomes])
 
     monkeypatch.setattr(gasp, "_score", spy)
+    _without_skeleton(monkeypatch)
     target = database_state(random_database(3, "floor", 0))
     result = gasp_prepare(target, GaConfig(max_generations=0, rng_seed=0))
     # the population, then the angle-fitted copy of its best, which scores

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import cos, pi, sin
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,13 +19,14 @@ from hypothesis import strategies as st
 
 from qsalign import gasp, simcore
 from qsalign.experiments import calibrated_loader, random_database, random_target
-from qsalign.gasp import GaConfig, Genome, genome_circuit
+from qsalign.gasp import GaConfig, Genome, genome_circuit, perturb_state
 from qsalign.grover import phase_oracle, search_circuit
 from qsalign.qsa import QsaConfig, run_qsa, strip_diagonal_tail
 from qsalign.registers import (
     Database,
     RegisterLayout,
     TargetSequence,
+    database_state,
     exact_loader,
     initialisation_unitary,
     state_preparation_circuit,
@@ -633,8 +635,9 @@ def _search_case(db, target, loader, case_id):
     return pytest.param(search_circuit(prep, phase_oracle(layout, delta), 2), id=case_id)
 
 
-# GA seeds whose short runs leave loaders with CNOTs: alone, in pairs, and
-# in runs of three or more, inside the loader and at its end
+# GA seeds whose short runs, without the skeleton, leave loaders with
+# CNOTs: alone, in pairs, and in runs of three or more, inside the loader
+# and at its end. The skeleton's loaders hold each CNOT chain as one run
 _SHORT_GA_SEEDS = {3: 20, 4: 27, 5: 28, 6: 21}
 
 
@@ -649,9 +652,13 @@ def _search_cases():
         ))
         seed = _SHORT_GA_SEEDS[n]
         ga = GaConfig(population_size=8, max_generations=3, rng_seed=seed)
-        loader = calibrated_loader(db, 0.7, seed, ga)
+        with mock.patch.object(gasp, "_skeleton", lambda target, goal: Genome([], 0.0)):
+            loader = calibrated_loader(db, 0.7, seed, ga)
         assert any(gate.kind == "X" for gate in loader.gates)
         cases.append(_search_case(db, target, loader, f"n={n}-short-ga"))
+        perturbed, _ = perturb_state(database_state(db), 0.7, seed)
+        loader = genome_circuit(gasp._skeleton(perturbed, 0.99), n)
+        cases.append(_search_case(db, target, loader, f"n={n}-skeleton"))
     db = random_database(3, "floor", [16, 0])
     # an all-zero target wraps the diffusion's sign flip in X gates
     cases.append(_search_case(db, TargetSequence("000"), exact_loader(db), "n=3-zero-target"))

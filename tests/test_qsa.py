@@ -1,5 +1,6 @@
 """Iterative search driver: acceptance rule, accuracy score, result records."""
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import qsalign.qsa as qsa
-from qsalign import simcore
+from qsalign import gasp, simcore
 from qsalign.experiments import calibrated_loader, random_database, random_target
-from qsalign.gasp import GaConfig
+from qsalign.gasp import GaConfig, Genome, genome_circuit, perturb_state
 from qsalign.grover import (
     grover_layer,
     make_plan,
@@ -32,6 +33,7 @@ from qsalign.registers import (
     Database,
     RegisterLayout,
     TargetSequence,
+    database_state,
     exact_loader,
     hamming,
     initialisation_unitary,
@@ -522,6 +524,11 @@ def test_run_qsa_equals_a_gate_level_reference(blind, repeats):
         )
 
 
+def _unreached_skeleton(target, goal):
+    """A stand-in for gasp's skeleton whose fitness 0.0 never beats the archive."""
+    return Genome([], 0.0)
+
+
 @pytest.mark.parametrize("blind", [False, True])
 @pytest.mark.parametrize("kind", ["1.0", "0.7", "short_ga"])
 def test_probe_loader_gates_touch_only_the_loaded_block(monkeypatch, kind, blind):
@@ -538,7 +545,9 @@ def test_probe_loader_gates_touch_only_the_loaded_block(monkeypatch, kind, blind
     assert "1" in target.bits
     if kind == "short_ga":
         # CNOTs alone or in pairs between rotations: X runs that are not
-        # applied as one signed permutation, so they go gate by gate
+        # applied as one signed permutation, so they go gate by gate. The
+        # skeleton, whose CNOT chains are such runs, is stubbed out
+        monkeypatch.setattr(gasp, "_skeleton", _unreached_skeleton)
         ga = GaConfig(population_size=8, max_generations=3, rng_seed=21)
         loader = calibrated_loader(db, 0.7, 21, ga)
         kinds = "".join(gate.kind[0] for gate in strip_diagonal_tail(loader).gates)
@@ -583,10 +592,16 @@ def _loader(kind, db, seed, requested):
         return exact_loader(db)
     if kind == "calibrated":
         return calibrated_loader(db, requested, seed)
-    # a short GA run: a loader far from the database state, with CNOTs
-    loader = calibrated_loader(
-        db, requested, seed, GaConfig(population_size=8, max_generations=3, rng_seed=seed)
-    )
+    if kind == "skeleton":
+        # the fitted layered skeleton for the perturbed database state
+        perturbed, _ = perturb_state(database_state(db), requested, seed)
+        return genome_circuit(gasp._skeleton(perturbed, 0.99), db.n)
+    # a short GA run, without the skeleton: a loader far from the database
+    # state, with CNOTs
+    with mock.patch.object(gasp, "_skeleton", _unreached_skeleton):
+        loader = calibrated_loader(
+            db, requested, seed, GaConfig(population_size=8, max_generations=3, rng_seed=seed)
+        )
     assume(any(gate.controls for gate in loader.gates))
     return loader
 
@@ -619,7 +634,7 @@ def _assert_probes_start_from_the_loaded_block(db, target, loader, p_max=3):
 
 
 # no shrink phase: shrinking a failing 15-qubit example takes minutes
-@pytest.mark.parametrize("kind", ["exact", "calibrated", "short_ga"])
+@pytest.mark.parametrize("kind", ["exact", "calibrated", "short_ga", "skeleton"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @settings(max_examples=2, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(instance_seed=st.integers(0, 2**32 - 1), requested=st.floats(0.0, 1.0, exclude_min=True))
@@ -629,4 +644,17 @@ def test_probes_from_the_loaded_block_equal_the_whole_search_circuit(
     db = random_database(n, "floor", [instance_seed, 0])
     target = random_target(n, [instance_seed, 1])
     loader = _loader(kind, db, instance_seed, requested)
-    _assert_probes_start_from_the_loaded_block(db, target, loader)
+    fused = []
+    apply = simcore._apply_signed_permutation
+
+    def spy(tensor, run, classes):
+        fused.append(run)
+        return apply(tensor, run, classes)
+
+    with mock.patch.object(simcore, "_apply_signed_permutation", spy):
+        _assert_probes_start_from_the_loaded_block(db, target, loader)
+    if kind == "skeleton" and n >= 4:
+        # each CNOT chain of three or more, and its inverse in the
+        # diffusion, is one run of the fused X-run kernel
+        chain = [simcore.cnot(q, q + 1) for q in range(n - 1)]
+        assert chain in fused and chain[::-1] in fused
