@@ -29,13 +29,15 @@ from .experiments import (
     sub_seed,
     write_sweep_files,
 )
-from .gasp import MAX_QUBITS, GaConfig, gasp_prepare
+from .gasp import GaConfig, gasp_prepare
 from .qsa import QsaConfig, result_record, run_qsa
 from .registers import (
+    MAX_QUBITS,
     Alphabet,
     Database,
     RegisterLayout,
     TargetSequence,
+    check_width,
     database_state,
     encode_sequence,
 )
@@ -92,14 +94,7 @@ def _load_database(path: str, alphabet: Alphabet | None) -> Database:
     if alphabet is not None:
         entries = [encode_sequence(e, alphabet) for e in entries]
     db = Database.from_bitstrings(entries)
-    if db.n > MAX_QUBITS:
-        # computed from the width alone: nothing of this size is ever allocated
-        qubits = RegisterLayout(db.n).total
-        raise ValueError(
-            f"database entries are {db.n} bits wide, over the limit of {MAX_QUBITS}: "
-            f"their search register would need {qubits} qubits "
-            f"({(16 << qubits) >> 20} MiB per statevector)"
-        )
+    check_width(db.n)
     return db
 
 

@@ -1,4 +1,4 @@
-"""Random instance generation and the two headline studies.
+"""Random instances, fidelity-calibrated loaders, and the two headline studies.
 
 layer_study traces accuracy and marked-subspace probability as the layer
 count grows on a fixed exact-match instance. fidelity_sweep measures how
@@ -14,16 +14,18 @@ import csv
 import functools
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .gasp import MAX_QUBITS, GaConfig, gasp_prepare, perturb_state
+from .gasp import GaConfig, gasp_prepare
 from .grover import LAYER_POLICIES, grover_layer, marked_probability, phase_oracle
 from .qsa import QsaConfig, accuracy, classical_min_hamming, run_qsa
 from .registers import (
+    MAX_QUBITS,
     Database,
     RegisterLayout,
     TargetSequence,
@@ -151,7 +153,7 @@ def database_size_for(n: int, rule: str = "floor") -> int:
     raise ValueError(f"unknown db size rule {rule!r}")
 
 
-def random_database(n: int, rule: str = "floor", seed=None) -> Database:
+def random_database(n: int, rule: str, seed) -> Database:
     """Distinct uniform-random n-bit entries, count set by the size rule."""
     check_size(n)
     size = database_size_for(n, rule)
@@ -160,7 +162,7 @@ def random_database(n: int, rule: str = "floor", seed=None) -> Database:
     return Database(n, tuple(format(int(v), f"0{n}b") for v in values))
 
 
-def random_target(n: int, seed=None) -> TargetSequence:
+def random_target(n: int, seed) -> TargetSequence:
     """Uniform n-bit target, independent of any database."""
     check_size(n)
     rng = np.random.default_rng(seed)
@@ -213,6 +215,54 @@ def sub_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
+@dataclass(frozen=True)
+class PerturbationSpec:
+    """Record of one perturbation: enough to rebuild it exactly.
+
+    hermitian_seed is the seed perturb_state used; it keeps the name of the
+    random-Hermitian model the closed form reproduces. epsilon = acos(sqrt(F)).
+    """
+
+    target_fidelity: float
+    hermitian_seed: int
+    epsilon: float
+
+    def __post_init__(self):
+        if not 0.0 < self.target_fidelity <= 1.0:
+            raise ValueError("target_fidelity must lie in (0, 1]")
+        if self.epsilon < 0:
+            raise ValueError("epsilon must be >= 0")
+
+
+def perturb_state(
+    target: Statevector, target_fidelity: float, seed: int
+) -> tuple[Statevector, PerturbationSpec]:
+    """Return sqrt(F) psi + sqrt(1 - F) chi, chi Haar-random orthogonal to psi.
+
+    |<psi|out>|^2 = F to rounding. GUE is unitarily invariant, so up to a
+    global phase this is how psi evolved under a random GUE Hermitian is
+    distributed once the evolution time brings its fidelity down to F.
+    A seed whose draw is parallel to psi, so that only rounding noise is
+    left of it once psi is projected out, raises ValueError.
+    """
+    if not 0.0 < target_fidelity <= 1.0:
+        raise ValueError("target fidelity must lie in (0, 1]")
+    if target_fidelity == 1.0:
+        return target.copy(), PerturbationSpec(1.0, seed, 0.0)
+    if target.num_qubits == 0:
+        raise ValueError("a 0-qubit state has no state orthogonal to it")
+    psi = target.amplitudes
+    rng = np.random.default_rng(seed)
+    chi = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
+    chi -= np.vdot(psi, chi) * psi
+    chi /= np.linalg.norm(chi)
+    if abs(np.vdot(psi, chi)) > 1e-12:
+        raise ValueError(f"seed {seed} draws a direction parallel to the target state")
+    out = math.sqrt(target_fidelity) * psi + math.sqrt(1.0 - target_fidelity) * chi
+    spec = PerturbationSpec(target_fidelity, seed, math.acos(math.sqrt(target_fidelity)))
+    return Statevector(target.num_qubits, out), spec
+
+
 def calibrated_loader(
     db: Database, target_fidelity: float, perturb_seed: int, ga_config: GaConfig | None = None
 ) -> Circuit:
@@ -227,14 +277,6 @@ def calibrated_loader(
     if ga_config is None:
         return state_preparation_circuit(perturbed)
     return gasp_prepare(perturbed, ga_config).circuit
-
-
-def _instance(n: int, rule: str, trial_seed: int) -> tuple[Database, TargetSequence, int]:
-    """A trial's database, target and classical minimum distance."""
-    db = random_database(n, rule, sub_seed(trial_seed, 0))
-    target = random_target(n, sub_seed(trial_seed, 1))
-    d_min, _ = classical_min_hamming(db, target)
-    return db, target, d_min
 
 
 def run_sweep_trial(
@@ -256,7 +298,9 @@ def run_sweep_trial(
     """
     if mode not in ("fast", "full"):
         raise ValueError(f"unknown sweep mode {mode!r}")
-    db, target, d_min = _instance(n, db_size_rule, trial_seed)
+    db = random_database(n, db_size_rule, sub_seed(trial_seed, 0))
+    target = random_target(n, sub_seed(trial_seed, 1))
+    d_min, _ = classical_min_hamming(db, target)
     record = SweepRecord(
         n=n,
         N=db.size,

@@ -1,21 +1,19 @@
-"""Genetic-algorithm circuit synthesis and fidelity-targeted perturbation.
+"""Genetic-algorithm circuit synthesis.
 
-Two ways to reach a state with a prescribed fidelity: evolve a gate list
-whose output state matches a target (gasp_prepare), and mix a target state
-with a random state orthogonal to it, in closed form, so that the overlap
-with the original is exactly a requested value (perturb_state). Composing
-the two yields database loaders with a tunable a-priori fidelity
-(experiments.calibrated_loader).
+gasp_prepare evolves a gate list whose output state matches a target
+state; composed with experiments.perturb_state, it yields database
+loaders with a tunable a-priori fidelity (experiments.calibrated_loader).
 """
 from __future__ import annotations
 
 import logging
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .registers import MAX_QUBITS
 from .simcore import (
     Circuit,
     Gate,
@@ -28,11 +26,6 @@ from .simcore import (
 )
 
 logger = logging.getLogger(__name__)
-
-# widest state gasp_prepare synthesises; the CLI and experiments.check_size
-# hold database entries to the same width, which keeps the 2n + k qubit
-# search register at 2^20 amplitudes or fewer
-MAX_QUBITS = 8
 
 # a gene is 112 immutable bytes: its gate's 32 _select bytes and 64
 # _coefficients bytes, the rows simcore.run_sequences reads, then its angle
@@ -106,7 +99,7 @@ class GaConfig:
     population_size: int = 100
     max_generations: int = 200
     fidelity_target: float = 0.99
-    rng_seed: int | None = None
+    rng_seed: int = field(kw_only=True)
 
     def __post_init__(self):
         if self.population_size <= _ELITISM_COUNT:
@@ -117,27 +110,8 @@ class GaConfig:
             raise ValueError("max_generations must be >= 0")
         if not 0.0 < self.fidelity_target <= 1.0:
             raise ValueError("fidelity_target must lie in (0, 1]")
-        if self.rng_seed is not None and self.rng_seed < 0:
+        if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Record of one perturbation: enough to rebuild it exactly.
-
-    hermitian_seed is the seed perturb_state used; it keeps the name of the
-    random-Hermitian model the closed form reproduces. epsilon = acos(sqrt(F)).
-    """
-
-    target_fidelity: float
-    hermitian_seed: int | None
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.target_fidelity <= 1.0:
-            raise ValueError("target_fidelity must lie in (0, 1]")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -428,7 +402,7 @@ _CROSSOVER_COIN = _coin_bound(_CROSSOVER_RATE)
 _HALF_COIN = _coin_bound(0.5)
 
 
-def gasp_prepare(target: Statevector, config: GaConfig = GaConfig()) -> GaspResult:
+def gasp_prepare(target: Statevector, config: GaConfig) -> GaspResult:
     """Evolve a circuit whose output approximates the target state.
 
     Tournament selection, single-point crossover on gene lists, per-gene
@@ -536,34 +510,3 @@ def _result(best: Genome, generations: int, target: Statevector, goal: float) ->
             f"batched fitness {best.fitness!r} differs from run_circuit's {reference!r}"
         )
     return GaspResult(circuit, best.fitness, converged, generations)
-
-
-def perturb_state(
-    target: Statevector, target_fidelity: float, seed: int | None = None
-) -> tuple[Statevector, PerturbationSpec]:
-    """Return sqrt(F) psi + sqrt(1 - F) chi, chi Haar-random orthogonal to psi.
-
-    |<psi|out>|^2 = F to rounding. GUE is unitarily invariant, so up to a
-    global phase this is how psi evolved under a random GUE Hermitian is
-    distributed once the evolution time brings its fidelity down to F.
-    A seed whose draw is parallel to psi, so that only rounding noise is
-    left of it once psi is projected out, raises ValueError.
-    """
-    if not 0.0 < target_fidelity <= 1.0:
-        raise ValueError("target fidelity must lie in (0, 1]")
-    if seed is None:
-        seed = int(np.random.SeedSequence().generate_state(1)[0])
-    if target_fidelity == 1.0:
-        return target.copy(), PerturbationSpec(1.0, seed, 0.0)
-    if target.num_qubits == 0:
-        raise ValueError("a 0-qubit state has no state orthogonal to it")
-    psi = target.amplitudes
-    rng = np.random.default_rng(seed)
-    chi = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
-    chi -= np.vdot(psi, chi) * psi
-    chi /= np.linalg.norm(chi)
-    if abs(np.vdot(psi, chi)) > 1e-12:
-        raise ValueError(f"seed {seed} draws a direction parallel to the target state")
-    out = math.sqrt(target_fidelity) * psi + math.sqrt(1.0 - target_fidelity) * chi
-    spec = PerturbationSpec(target_fidelity, seed, math.acos(math.sqrt(target_fidelity)))
-    return Statevector(target.num_qubits, out), spec

@@ -28,10 +28,8 @@ LAYER_POLICIES = ("paper_ceil", "best_integer")
 
 @dataclass(frozen=True)
 class GroverPlan:
-    """Layer budget for one search pass: N entries, c of them marked."""
+    """Layer budget for one search pass."""
 
-    database_size: int
-    matches: int
     layers: int
 
 
@@ -163,4 +161,4 @@ def make_plan(database_size: int, matches: int, policy: str = "paper_ceil") -> G
             range(horizon + 1),
             key=lambda p: (round(success_probability(p, database_size, matches), 12), -p),
         )
-    return GroverPlan(database_size, matches, layers)
+    return GroverPlan(layers)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class QsaConfig:
     shots: int = 4096
     repeats: int = 1
     layer_policy: str = "paper_ceil"
-    rng_seed: int | None = None
+    rng_seed: int = field(kw_only=True)
     blind: bool = False
 
     def __post_init__(self):
@@ -59,7 +59,7 @@ class QsaConfig:
             raise ValueError("repeats must be >= 1")
         if self.layer_policy not in LAYER_POLICIES:
             raise ValueError(f"unknown layer policy {self.layer_policy!r}")
-        if self.rng_seed is not None and self.rng_seed < 0:
+        if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
@@ -142,7 +142,7 @@ def run_qsa(
     db_loader: Circuit,
     db: Database,
     target: TargetSequence,
-    config: QsaConfig = QsaConfig(),
+    config: QsaConfig,
 ) -> QsaResult:
     """Search for the database entry nearest the target.
 

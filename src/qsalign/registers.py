@@ -37,6 +37,10 @@ logger = logging.getLogger(__name__)
 
 _ZERO_PROB = 1e-14
 
+# widest database entry the package loads: the 2n + k qubit search
+# register then holds 2^20 amplitudes or fewer
+MAX_QUBITS = 8
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -164,6 +168,16 @@ class RegisterLayout:
         return index & ((1 << self.n) - 1)
 
 
+def check_width(n: int) -> None:
+    """Refuse entries wider than MAX_QUBITS, from the width alone: nothing is allocated."""
+    if n > MAX_QUBITS:
+        qubits = RegisterLayout(n).total
+        raise ValueError(
+            f"database entries are {n} bits wide, over the limit of {MAX_QUBITS}: their search "
+            f"register would need {qubits} qubits ({(16 << qubits) >> 20} MiB per statevector)"
+        )
+
+
 def database_state(db: Database) -> Statevector:
     """Uniform superposition over the database entries, on n qubits."""
     amps = np.zeros(1 << db.n, dtype=np.complex128)
@@ -276,13 +290,15 @@ def initialisation_unitary(
     """Full state preparation: target load, database load, XOR, popcount.
 
     ``db_loader`` acts on the n data qubits; it may prepare the database
-    superposition exactly or approximately (a synthesized loader). The
+    superposition exactly or approximately (a synthesized loader). A
+    layout wider than MAX_QUBITS is refused (``check_width``). The
     target load acts on the sample qubits alone, so it commutes with the
     loader. It comes first, so that ``simcore.run_circuit`` starts from
     the basis state |0, t, 0> its X gates write, and the loader runs on
     that one row of 2^n amplitudes; ``grover.diffusion`` folds the same
     X gates into the reflection's sign flip.
     """
+    check_width(layout.n)
     if db_loader.num_qubits != layout.n:
         raise ValueError(
             f"database loader acts on {db_loader.num_qubits} qubits, layout expects {layout.n}"

@@ -15,8 +15,8 @@ from qsalign.checks import (
     check_popcount,
 )
 from qsalign.cli import main
-from qsalign.experiments import SweepConfig, fidelity_sweep, random_database
-from qsalign.gasp import GaConfig, gasp_prepare, perturb_state
+from qsalign.experiments import SweepConfig, fidelity_sweep, perturb_state, random_database
+from qsalign.gasp import GaConfig, gasp_prepare
 from qsalign.grover import success_probability
 from qsalign.registers import database_state
 from qsalign.simcore import Statevector

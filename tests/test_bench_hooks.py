@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qsalign.experiments import random_database, random_target
+from qsalign.experiments import calibrated_loader, random_database, random_target
 from qsalign.grover import make_plan, phase_oracle, search_circuit
 from qsalign.qsa import QsaConfig, count_matches
 from qsalign.registers import RegisterLayout, database_state, exact_loader, initialisation_unitary
@@ -43,6 +43,21 @@ def test_perturbation_reports_the_seed_it_was_given(monkeypatch):
         result = layers.experiments.perturb_state(*args)
         assert result[1].hermitian_seed == 4321
         assert layers._redraw(args, {}, result) == 0
+
+
+def test_a_calibrated_loader_is_one_traced_perturbation(monkeypatch):
+    # calibrated_loader calls the perturb_state defined beside it, which is
+    # the name the bench hooks; its seed comes back, so no redraw is counted
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    tracing = importlib.import_module("tracing")
+    db = random_database(3, "floor", 0)
+    with tracing.Tracer() as tracer:
+        layers.install(tracer)
+        loader = layers.experiments.calibrated_loader(db, 0.8, 4321)
+    spans = [span for span in tracer.spans if span[tracing.NAME] == "experiments.perturb_state"]
+    assert [span[tracing.INFO] for span in spans] == [0]
+    assert loader == calibrated_loader(db, 0.8, 4321)
 
 
 @pytest.mark.parametrize("blind", [False, True])

@@ -15,6 +15,7 @@ from qsalign.experiments import (
     database_size_for,
     fidelity_sweep,
     layer_study,
+    perturb_state,
     random_database,
     random_target,
     run_sweep_trial,
@@ -23,7 +24,7 @@ from qsalign.experiments import (
     write_sweep_files,
 )
 from qsalign.gasp import GaConfig
-from qsalign.qsa import run_qsa
+from qsalign.qsa import QsaConfig, run_qsa
 from qsalign.registers import Database, database_state
 from qsalign.simcore import fidelity, run_circuit
 
@@ -56,6 +57,21 @@ def test_random_database_and_target():
         random_database(2, "floor", seed=0)
     with pytest.raises(ValueError):
         random_target(9, seed=0)
+
+
+def test_every_random_draw_takes_a_seed():
+    # no entry point falls back to OS entropy: leaving the seed out is a TypeError
+    state = database_state(random_database(3, "floor", 0))
+    unseeded = (
+        GaConfig,
+        QsaConfig,
+        lambda: perturb_state(state, 0.5),
+        lambda: random_database(3, "floor"),
+        lambda: random_target(3),
+    )
+    for call in unseeded:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_layer_study_rows_and_baseline():

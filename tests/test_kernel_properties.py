@@ -18,8 +18,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsalign import gasp, simcore
-from qsalign.experiments import calibrated_loader, random_database, random_target
-from qsalign.gasp import GaConfig, Genome, genome_circuit, perturb_state
+from qsalign.experiments import calibrated_loader, perturb_state, random_database, random_target
+from qsalign.gasp import GaConfig, Genome, genome_circuit
 from qsalign.grover import phase_oracle, search_circuit
 from qsalign.qsa import QsaConfig, run_qsa, strip_diagonal_tail
 from qsalign.registers import (

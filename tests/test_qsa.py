@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import qsalign.qsa as qsa
 from qsalign import gasp, simcore
-from qsalign.experiments import calibrated_loader, random_database, random_target
-from qsalign.gasp import GaConfig, Genome, genome_circuit, perturb_state
+from qsalign.experiments import calibrated_loader, perturb_state, random_database, random_target
+from qsalign.gasp import GaConfig, Genome, genome_circuit
 from qsalign.grover import (
     grover_layer,
     make_plan,
@@ -53,18 +53,19 @@ from qsalign.simcore import (
 
 
 def test_config_validation():
-    QsaConfig()
+    QsaConfig(rng_seed=0)
     with pytest.raises(ValueError):
-        QsaConfig(shots=0)
+        QsaConfig(shots=0, rng_seed=0)
     with pytest.raises(ValueError):
-        QsaConfig(repeats=0)
+        QsaConfig(repeats=0, rng_seed=0)
     with pytest.raises(ValueError):
-        QsaConfig(layer_policy="always_three")
+        QsaConfig(layer_policy="always_three", rng_seed=0)
 
 
 def test_config_refuses_a_negative_seed():
-    # SeedSequence takes no negative entropy; None still draws fresh entropy
-    QsaConfig(rng_seed=None)
+    # SeedSequence takes no negative entropy, and None would draw fresh entropy
+    with pytest.raises(TypeError):
+        QsaConfig(rng_seed=None)
     QsaConfig(rng_seed=0)
     with pytest.raises(ValueError, match="rng_seed"):
         QsaConfig(rng_seed=-1)
@@ -436,6 +437,23 @@ def test_loader_width_mismatch():
         run_qsa(exact_loader(wide_db), db, TargetSequence("101"), QsaConfig(rng_seed=0))
     with pytest.raises(ValueError):
         run_qsa(exact_loader(db), db, TargetSequence("1011"), QsaConfig(rng_seed=0))
+
+
+def test_wide_database_refused_before_allocation(monkeypatch):
+    # the CLI's width refusal holds on the library path too: a 9-bit
+    # database would need a 22-qubit search register
+    db = Database(9, ("000000000", "111111111"))
+    loader = exact_loader(db)
+    allocations = []
+
+    def spy(*args):
+        allocations.append(args)
+        raise AssertionError("search register allocated")
+
+    monkeypatch.setattr(simcore, "basis_state", spy)
+    with pytest.raises(ValueError, match="9 bits wide, over the limit of 8"):
+        run_qsa(loader, db, TargetSequence("000000001"), QsaConfig(rng_seed=0))
+    assert allocations == []
 
 
 def test_result_record_schema():
